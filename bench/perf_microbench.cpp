@@ -11,7 +11,7 @@
 #include "cache/cache.hh"
 #include "hier/hierarchy.hh"
 #include "trace/interleave.hh"
-#include "trace/order_stat_tree.hh"
+#include "trace/lru_stack.hh"
 #include "trace/stack_distance.hh"
 #include "trace/synthetic.hh"
 #include "util/random.hh"
@@ -69,20 +69,40 @@ BM_CacheAccess(benchmark::State &state)
 BENCHMARK(BM_CacheAccess);
 
 void
-BM_OrderStatTreeMoveToFront(benchmark::State &state)
+BM_LruStackMoveToFront(benchmark::State &state)
 {
-    trace::OrderStatTree tree(5);
-    const std::size_t n = static_cast<std::size_t>(state.range(0));
-    for (std::size_t i = 0; i < n; ++i)
-        tree.pushBack(i);
+    const auto n = static_cast<std::uint64_t>(state.range(0));
+    trace::LruStack stack(n);
+    Rng rng(6);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            stack.moveToFront(rng.nextBounded(n)));
+}
+BENCHMARK(BM_LruStackMoveToFront)
+    ->Arg(1 << 10)
+    ->Arg(1 << 14)
+    ->Arg(1 << 17);
+
+/** The depth traffic the data generators actually issue: Pareto
+ *  draws with the default data-stream law, folded into the cold
+ *  three-quarters of the stack when they run past it. */
+void
+BM_LruStackMoveToFrontPareto(benchmark::State &state)
+{
+    const auto n = static_cast<std::uint64_t>(state.range(0));
+    const trace::DataStreamParams law;
+    const trace::ParetoDepthSampler depths(law.theta,
+                                           law.localityScale);
+    trace::LruStack stack(n);
     Rng rng(6);
     for (auto _ : state) {
-        const std::size_t d =
-            static_cast<std::size_t>(rng.nextBounded(n));
-        tree.pushFront(tree.removeAt(d));
+        std::uint64_t d = depths.sample(rng);
+        if (d >= n)
+            d = rng.nextRange(n / 4, n - 1);
+        benchmark::DoNotOptimize(stack.moveToFront(d));
     }
 }
-BENCHMARK(BM_OrderStatTreeMoveToFront)
+BENCHMARK(BM_LruStackMoveToFrontPareto)
     ->Arg(1 << 10)
     ->Arg(1 << 14)
     ->Arg(1 << 17);

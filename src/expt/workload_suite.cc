@@ -79,7 +79,15 @@ materialize(const TraceSpec &spec)
         spec.processes, spec.switchInterval, spec.variant);
     const std::uint64_t total =
         scaledWarmup(spec) + scaledMeasure(spec);
-    return trace::collect(*source, total);
+    // The length is known and finite, so reserve it exactly:
+    // collect() caps its reserve hint, and growing past the cap
+    // copies the trace once and leaves slack capacity behind.
+    std::vector<trace::MemRef> out;
+    out.reserve(static_cast<std::size_t>(total));
+    trace::MemRef ref;
+    while (out.size() < total && source->next(ref))
+        out.push_back(ref);
+    return out;
 }
 
 TraceStore::TraceStore(std::vector<TraceSpec> specs,

@@ -47,21 +47,16 @@ StackDataGenerator::StackDataGenerator(const DataStreamParams &params,
     : params_(params),
       depths_(params.theta, params.localityScale),
       rng_(seed),
-      stack_(seed ^ 0x5deece66dULL)
+      // Warm the stack: oldest data deepest, newest on top.
+      stack_(std::min(params.initialFootprintGranules,
+                      params.footprintGranules)),
+      nextGranule_(stack_.size())
 {
     if (!isPowerOfTwo(params_.granuleBytes))
         mlc_panic("data granule size must be a power of two, got ",
                   params_.granuleBytes);
     if (params_.footprintGranules == 0)
         mlc_panic("data footprint must be non-zero");
-
-    // Warm the stack: oldest data deepest, newest on top.
-    const std::uint64_t initial =
-        std::min(params_.initialFootprintGranules,
-                 params_.footprintGranules);
-    for (std::uint64_t g = 0; g < initial; ++g)
-        stack_.pushFront(g);
-    nextGranule_ = initial;
 }
 
 Addr
@@ -83,12 +78,10 @@ StackDataGenerator::next()
             // producing far misses without growing memory.
             const std::size_t lo = stack_.size() / 4;
             depth = rng_.nextRange(lo, stack_.size() - 1);
-            granule = stack_.removeAt(depth);
-            stack_.pushFront(granule);
+            granule = stack_.moveToFront(depth);
         }
     } else {
-        granule = stack_.removeAt(depth);
-        stack_.pushFront(granule);
+        granule = stack_.moveToFront(depth);
     }
 
     const std::uint64_t words = params_.granuleBytes / 4;

@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "trace/mem_ref.hh"
-#include "trace/order_stat_tree.hh"
+#include "trace/lru_stack.hh"
 #include "trace/source.hh"
 #include "util/random.hh"
 
@@ -117,7 +117,7 @@ class StackDataGenerator
     DataStreamParams params_;
     ParetoDepthSampler depths_;
     Rng rng_;
-    OrderStatTree stack_;
+    LruStack stack_;
     std::uint64_t nextGranule_ = 0;
 };
 

@@ -88,7 +88,11 @@ ProfileDataGenerator::ProfileDataGenerator(
       granuleBytes_(granule_bytes),
       base_(base),
       rng_(seed),
-      stack_(seed ^ 0x9d2c5680ULL)
+      // Pre-populate to the deepest bound so every bucket has
+      // granules to hit from the first draw (cold-start would turn
+      // deep reuse into compulsory allocations and distort the
+      // profile).
+      stack_(profile.upperDepth.back() + 1)
 {
     if (!isPowerOfTwo(granule_bytes))
         mlc_panic("data granule size must be a power of two, "
@@ -101,14 +105,6 @@ ProfileDataGenerator::ProfileDataGenerator(
         lowerDepth_.push_back(lo);
         lo = hi + 1;
     }
-
-    // Pre-populate to the deepest bound so every bucket has
-    // granules to hit from the first draw (cold-start would turn
-    // deep reuse into compulsory allocations and distort the
-    // profile).
-    const std::uint64_t footprint = upperDepth_.back() + 1;
-    for (std::uint64_t g = 0; g < footprint; ++g)
-        stack_.pushFront(g);
 }
 
 Addr
@@ -119,9 +115,7 @@ ProfileDataGenerator::next()
         lowerDepth_[b] == upperDepth_[b]
             ? lowerDepth_[b]
             : rng_.nextRange(lowerDepth_[b], upperDepth_[b]);
-    const std::uint64_t granule = stack_.removeAt(
-        static_cast<std::size_t>(depth));
-    stack_.pushFront(granule);
+    const std::uint64_t granule = stack_.moveToFront(depth);
 
     const std::uint64_t words = granuleBytes_ / 4;
     const std::uint64_t word = rng_.nextBounded(words);

@@ -27,7 +27,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "trace/order_stat_tree.hh"
+#include "trace/lru_stack.hh"
 #include "trace/source.hh"
 #include "trace/synthetic.hh"
 #include "util/random.hh"
@@ -109,7 +109,7 @@ class ProfileDataGenerator
     std::uint64_t granuleBytes_;
     Addr base_;
     Rng rng_;
-    OrderStatTree stack_;
+    LruStack stack_;
 };
 
 /** The finite multiprogrammed source described in the file

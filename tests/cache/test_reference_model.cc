@@ -109,9 +109,12 @@ INSTANTIATE_TEST_SUITE_P(
                     Shape{1024, 16, 8}, Shape{1024, 64, 1},
                     Shape{512, 16, 0}, Shape{2048, 32, 4}),
     [](const testing::TestParamInfo<Shape> &param_info) {
-        return "s" + std::to_string(param_info.param.size) + "_b" +
-               std::to_string(param_info.param.block) + "_a" +
-               std::to_string(param_info.param.assoc);
+        return std::string("s")
+            .append(std::to_string(param_info.param.size))
+            .append("_b")
+            .append(std::to_string(param_info.param.block))
+            .append("_a")
+            .append(std::to_string(param_info.param.assoc));
     });
 
 /**

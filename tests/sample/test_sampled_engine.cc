@@ -156,7 +156,7 @@ TEST(SampledEngine, SuiteIsJobsInvariant)
     std::vector<expt::TraceSpec> specs;
     for (std::uint64_t v = 0; v < 3; ++v) {
         expt::TraceSpec s;
-        s.name = "t" + std::to_string(v);
+        s.name = std::string("t").append(std::to_string(v));
         s.variant = v;
         s.processes = 3;
         s.warmupRefs = 0;

@@ -29,7 +29,7 @@ void
 fill(ResultCache &cache, const std::string &tag, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i)
-        cache.put(key(tag, "d" + std::to_string(i)),
+        cache.put(key(tag, std::string("d").append(std::to_string(i))),
                   payload(tag + std::to_string(i)));
 }
 
@@ -63,7 +63,8 @@ TEST(ResultCache, CapacityEvictsLruWithinTheTag)
     EXPECT_EQ(cache.get(key("grid", "d0")), nullptr);
     EXPECT_EQ(cache.get(key("grid", "d1")), nullptr);
     for (int i = 2; i < 6; ++i)
-        EXPECT_NE(cache.get(key("grid", "d" + std::to_string(i))),
+        EXPECT_NE(cache.get(key("grid", std::string("d").append(
+                                            std::to_string(i)))),
                   nullptr);
 }
 
