@@ -301,7 +301,8 @@ writeConfig(std::ostream &os, const HierarchyParams &params)
         emitCache("l1", params.l1d);
     }
     for (std::size_t i = 0; i < params.levels.size(); ++i)
-        emitCache("l" + std::to_string(i + 2), params.levels[i]);
+        emitCache(std::string("l").append(std::to_string(i + 2)),
+                  params.levels[i]);
 
     for (std::size_t i = 0; i < params.levels.size(); ++i)
         os << "bus.l" << i + 2
