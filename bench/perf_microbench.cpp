@@ -9,7 +9,12 @@
 #include <benchmark/benchmark.h>
 
 #include "cache/cache.hh"
+#include "expt/design_space.hh"
 #include "hier/hierarchy.hh"
+#include "mrc/sampled_ghost.hh"
+#include "onepass/cascade.hh"
+#include "onepass/l1_filter.hh"
+#include "onepass/sharded.hh"
 #include "trace/interleave.hh"
 #include "trace/lru_stack.hh"
 #include "trace/stack_distance.hh"
@@ -167,6 +172,159 @@ BM_HierarchyThroughput(benchmark::State &state)
         static_cast<std::int64_t>(refs.size()));
 }
 BENCHMARK(BM_HierarchyThroughput)->Unit(benchmark::kMillisecond);
+
+// --- Profile pipeline layers (onepass::Profiler's stages). Each
+// reports a per-unit time counter: google-benchmark prints it with
+// an SI prefix, so "16.8n" reads 16.8 ns per reference or event.
+
+/** Attach a seconds-per-unit counter for @p units per iteration. */
+void
+reportTimePer(benchmark::State &state, const char *name,
+              std::size_t units)
+{
+    state.counters[name] = benchmark::Counter(
+        static_cast<double>(units),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+
+/** Counts L1 events and drops them: the replay's own cost. */
+struct NullSink
+{
+    std::size_t events = 0;
+    void onRead(Addr, bool) { ++events; }
+    void onWrite(Addr) { ++events; }
+};
+
+const std::vector<trace::MemRef> &
+pipelineRefs()
+{
+    static const std::vector<trace::MemRef> refs = [] {
+        auto gen = trace::makeMultiprogrammedWorkload(4, 12000, 1);
+        return trace::collect(*gen, 400000);
+    }();
+    return refs;
+}
+
+/** The paper's L2 grid family on the base machine. */
+const onepass::FamilySpec &
+pipelineFamily()
+{
+    static const onepass::FamilySpec family =
+        onepass::FamilySpec::l2Grid(hier::HierarchyParams::baseMachine(),
+                                    expt::paperSizes());
+    return family;
+}
+
+/** The L1-filtered stream of pipelineRefs(), recorded once. */
+const onepass::FilteredEventLog &
+pipelineLog()
+{
+    static const onepass::FilteredEventLog log = [] {
+        onepass::L1Filter filter(hier::HierarchyParams::baseMachine());
+        onepass::FilteredEventLog out;
+        out.warmEvents = onepass::FilteredEventLog::kNoBoundary;
+        for (const trace::MemRef &ref : pipelineRefs())
+            filter.step(ref, out);
+        return out;
+    }();
+    return log;
+}
+
+/** Apply every event of @p log to @p forest (either forest type). */
+template <typename Forest>
+void
+feedLog(const onepass::FilteredEventLog &log, Forest &forest)
+{
+    for (const std::uint64_t word : log.events) {
+        const Addr addr = word & ~onepass::FilteredEventLog::kKindMask;
+        switch (word & onepass::FilteredEventLog::kKindMask) {
+          case onepass::FilteredEventLog::ReadCounted:
+            forest.read(addr, true);
+            break;
+          case onepass::FilteredEventLog::ReadUncounted:
+            forest.read(addr, false);
+            break;
+          default:
+            forest.write(addr);
+            break;
+        }
+    }
+}
+
+onepass::GhostPolicies
+pipelinePolicies()
+{
+    return onepass::GhostPolicies::fromLevel(
+        hier::HierarchyParams::baseMachine().levels[0], 1);
+}
+
+void
+BM_L1FilterReplay(benchmark::State &state)
+{
+    const std::vector<trace::MemRef> &refs = pipelineRefs();
+    for (auto _ : state) {
+        onepass::L1Filter filter(hier::HierarchyParams::baseMachine());
+        NullSink sink;
+        for (const trace::MemRef &ref : refs)
+            filter.step(ref, sink);
+        benchmark::DoNotOptimize(sink.events);
+    }
+    reportTimePer(state, "time_per_ref", refs.size());
+}
+BENCHMARK(BM_L1FilterReplay)->Unit(benchmark::kMillisecond);
+
+void
+BM_GhostForestSweep(benchmark::State &state)
+{
+    const onepass::FilteredEventLog &log = pipelineLog();
+    for (auto _ : state) {
+        onepass::GhostTagForest forest(pipelineFamily().configs,
+                                       pipelinePolicies());
+        feedLog(log, forest);
+        benchmark::DoNotOptimize(forest.counts(0).readMisses);
+    }
+    reportTimePer(state, "time_per_event", log.events.size());
+}
+BENCHMARK(BM_GhostForestSweep)->Unit(benchmark::kMillisecond);
+
+/** Arg: sampling rate in parts per thousand (1000 = exact). */
+void
+BM_SampledGhostSweep(benchmark::State &state)
+{
+    const onepass::FilteredEventLog &log = pipelineLog();
+    mrc::SamplerConfig sampler;
+    sampler.rate = static_cast<double>(state.range(0)) / 1000.0;
+    for (auto _ : state) {
+        mrc::SampledGhostForest forest(pipelineFamily().configs,
+                                       pipelinePolicies(), sampler);
+        feedLog(log, forest);
+        benchmark::DoNotOptimize(forest.counts(0).readMisses);
+    }
+    reportTimePer(state, "time_per_event", log.events.size());
+}
+BENCHMARK(BM_SampledGhostSweep)
+    ->Arg(1000)
+    ->Arg(10)
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_CascadeFilter(benchmark::State &state)
+{
+    // A 64KB pivot L2 replayed exactly over the L1 stream; the
+    // output log is the L3 family's input.
+    const onepass::FilteredEventLog &log = pipelineLog();
+    const onepass::GhostCacheSpec pivot{64 << 10, 1, 32};
+    onepass::FilteredEventLog out;
+    for (auto _ : state) {
+        onepass::CascadeFilter cascade(
+            hier::HierarchyParams::baseMachine(), pivot);
+        onepass::filterEventLog(log, cascade, out);
+        benchmark::DoNotOptimize(out.events.size());
+    }
+    reportTimePer(state, "time_per_event", log.events.size());
+}
+BENCHMARK(BM_CascadeFilter)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -4,19 +4,20 @@
  * with spatial sampling underneath, shaped for traces that do not
  * fit in RAM.
  *
- * Two things change relative to onepass::profileTrace, and nothing
- * else does:
+ * It is the one profile pipeline (onepass::Profiler) with two
+ * things changed, and nothing else:
  *
- *  1. The ghost forest and FA analyzers are the sampled miniatures
+ *  1. The ghost forests and FA analyzers are the sampled miniatures
  *     (SampledGhostForest, SampledStackDistance), so cache state is
  *     O(p * footprint) — or O(budget) in adaptive mode — instead of
  *     O(family size * footprint).
- *  2. The replay is *streaming*: StreamingProfiler exposes a
- *     per-reference step(), so the trace never needs to be
+ *  2. The replay is *streaming*: the in-line route takes one
+ *     reference per step(), so the trace never needs to be
  *     materialized. profileMapped() drives it straight off an
  *     mmap'd binary trace in fixed-size chunks, releasing each
  *     chunk's pages (MADV_DONTNEED) as it goes — peak RSS is one
  *     chunk plus the sampled state, independent of trace length.
+ *     (There is no sharded route: MrcOptions has no shard count.)
  *
  * Everything downstream is shared with the exact engine: the
  * L1Filter replay is exact (its state is the L1's, bounded by the
@@ -31,7 +32,6 @@
 #define MLC_MRC_ENGINE_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "expt/design_space.hh"
@@ -41,7 +41,7 @@
 #include "mrc/sampled_stack.hh"
 #include "onepass/cascade.hh"
 #include "onepass/engine.hh"
-#include "onepass/l1_filter.hh"
+#include "onepass/profiler.hh"
 #include "trace/binary.hh"
 
 namespace mlc {
@@ -63,69 +63,19 @@ struct MrcOptions
 };
 
 /**
- * The engine's heart, exposed for streaming callers: construct,
- * feed every reference in order through step(), then finish().
- * step() handles the warm-up boundary internally (counts reset
- * after warmup_refs references, tag state kept — the same contract
- * as onepass::profileTrace). Chunking upstream cannot change the
- * result: the profiler is a pure state machine over the reference
- * sequence.
+ * The engine's heart, exposed for streaming callers: the one
+ * profile pipeline over sampled forests. Construct it as
+ * StreamingProfiler(base, pivots, family.configs, warmup_refs,
+ * profile_options, opts.sampler), feed every reference in order
+ * through step(), then finish() (see onepass::Profiler).
  */
-class StreamingProfiler
-{
-  public:
-    StreamingProfiler(const hier::HierarchyParams &base,
-                      const onepass::FamilySpec &family,
-                      std::uint64_t warmup_refs,
-                      const MrcOptions &opts);
+using StreamingProfiler =
+    onepass::Profiler<SampledGhostForest, SampledStackDistance>;
 
-    void step(const trace::MemRef &ref);
-
-    /** References fed so far. */
-    std::uint64_t steps() const { return steps_; }
-
-    /** Assemble the profile (callable once; the profiler keeps no
-     *  use after it). */
-    onepass::TraceProfile finish();
-
-  private:
-    struct Sink
-    {
-        SampledGhostForest &forest;
-        void
-        onRead(Addr addr, bool counted)
-        {
-            forest.read(addr, counted);
-        }
-        void
-        onWrite(Addr addr)
-        {
-            forest.write(addr);
-        }
-    };
-
-    onepass::FamilySpec family_;
-    MrcOptions opts_;
-    std::uint64_t warmup_;
-    std::uint64_t steps_ = 0;
-    onepass::L1Filter filter_;
-    SampledGhostForest filtered_;
-    std::unique_ptr<SampledGhostForest> solo_;
-    std::vector<SampledStackDistance> fa_;
-    std::vector<std::size_t> faOfConfig_;
-};
-
-/** Sampled counterpart of onepass::profileTrace (materialized or
- *  spanned refs). */
+/** Sampled counterpart of onepass::profileTrace. */
 onepass::TraceProfile
 profileTrace(const hier::HierarchyParams &base,
              const onepass::FamilySpec &family, trace::RefSpan refs,
-             std::uint64_t warmup_refs, const MrcOptions &opts = {});
-
-onepass::TraceProfile
-profileTrace(const hier::HierarchyParams &base,
-             const onepass::FamilySpec &family,
-             const std::vector<trace::MemRef> &refs,
              std::uint64_t warmup_refs, const MrcOptions &opts = {});
 
 /**
@@ -162,13 +112,6 @@ std::vector<onepass::TraceProfile>
 profileCascadeTrace(const hier::HierarchyParams &base,
                     const onepass::CascadeFamilySpec &family,
                     trace::RefSpan refs, std::uint64_t warmup_refs,
-                    const MrcOptions &opts = {});
-
-std::vector<onepass::TraceProfile>
-profileCascadeTrace(const hier::HierarchyParams &base,
-                    const onepass::CascadeFamilySpec &family,
-                    const std::vector<trace::MemRef> &refs,
-                    std::uint64_t warmup_refs,
                     const MrcOptions &opts = {});
 
 /** Sampled counterpart of onepass::profileCascadeSuite: parallel

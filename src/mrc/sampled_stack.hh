@@ -33,6 +33,7 @@
 #ifndef MLC_MRC_SAMPLED_STACK_HH
 #define MLC_MRC_SAMPLED_STACK_HH
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <unordered_map>
@@ -80,6 +81,14 @@ class SampledStackDistance
 
     /** Estimated distinct granules in the full stream. */
     double infiniteWeight() const { return infiniteW_; }
+
+    /** infiniteWeight() rounded to a count: the estimated
+     *  compulsory misses, spelled like the exact analyzer's. */
+    std::uint64_t
+    infiniteCount() const
+    {
+        return static_cast<std::uint64_t>(std::llround(infiniteW_));
+    }
 
     /** Current sampling rate (non-increasing in adaptive mode). */
     double rate() const { return sampler_.rate(); }

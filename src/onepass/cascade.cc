@@ -1,11 +1,8 @@
 #include "onepass/cascade.hh"
 
-#include <algorithm>
-
-#include "onepass/l1_filter.hh"
+#include "onepass/profiler.hh"
 #include "trace/stack_distance.hh"
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace mlc {
 namespace onepass {
@@ -33,23 +30,6 @@ pivotParams(const hier::HierarchyParams &base,
     p.fetchBytes = pivot.blockBytes;
     p.finalize();
     return p;
-}
-
-std::uint32_t
-maxAssoc(const std::vector<GhostCacheSpec> &specs)
-{
-    std::uint32_t m = 1;
-    for (const GhostCacheSpec &spec : specs)
-        m = std::max(m, spec.assoc);
-    return m;
-}
-
-bool
-sameCounts(const GhostCounts &a, const GhostCounts &b)
-{
-    return a.reads == b.reads && a.readMisses == b.readMisses &&
-           a.extraAccesses == b.extraAccesses &&
-           a.extraMisses == b.extraMisses;
 }
 
 } // namespace
@@ -121,167 +101,9 @@ profileCascadeTrace(const hier::HierarchyParams &base,
 {
     if (family.pivots.empty())
         mlc_panic("profileCascadeTrace: empty pivot family");
-    if (family.l3.configs.empty())
-        mlc_panic("profileCascadeTrace: empty downstream family");
-
-    L1Filter filter(base);
-    const hier::HierarchyParams &params = filter.params();
-    if (params.levels.size() < 2)
-        mlc_panic("profileCascadeTrace: the base machine needs at "
-                  "least two downstream levels (a pivot position "
-                  "and the profiled family's position); it has ",
-                  params.levels.size());
-
-    const std::uint32_t l1_block = std::max(
-        params.l1d.geometry.blockBytes,
-        params.splitL1 ? params.l1i.geometry.blockBytes : 0u);
-    std::uint32_t max_pivot_block = 4;
-    for (const GhostCacheSpec &pivot : family.pivots) {
-        if (pivot.blockBytes < l1_block)
-            mlc_panic("profileCascadeTrace: pivot ",
-                      pivot.toString(),
-                      " has a smaller block than the ", l1_block,
-                      "B first-level block, which the hierarchy "
-                      "disallows");
-        if (pivot.blockBytes < 4)
-            mlc_panic("profileCascadeTrace: pivot ",
-                      pivot.toString(),
-                      " has a block under 4 bytes; the event log "
-                      "packs the event kind into the low two "
-                      "address bits");
-        max_pivot_block = std::max(max_pivot_block,
-                                   pivot.blockBytes);
-    }
-    for (const GhostCacheSpec &spec : family.l3.configs)
-        if (spec.blockBytes < max_pivot_block)
-            mlc_panic("profileCascadeTrace: downstream member ",
-                      spec.toString(),
-                      " has a smaller block than the widest ",
-                      max_pivot_block, "B pivot block, which the "
-                      "hierarchy disallows");
-
-    const GhostPolicies pivot_pol = GhostPolicies::fromLevel(
-        params.levels[0], maxAssoc(family.pivots));
-    const GhostPolicies l3_pol = GhostPolicies::fromLevel(
-        params.levels[1], maxAssoc(family.l3.configs));
-
-    // FA-bound analyzers span the whole stream (see profileTrace).
-    struct FaState
-    {
-        std::uint32_t blockBytes;
-        trace::StackDistanceAnalyzer analyzer;
-    };
-    const std::size_t n3 = family.l3.configs.size();
-    std::vector<FaState> fa;
-    std::vector<std::size_t> fa_of_config(n3, 0);
-    if (opts.faBound) {
-        for (std::size_t m = 0; m < n3; ++m) {
-            const std::uint32_t bb =
-                family.l3.configs[m].blockBytes;
-            std::size_t g = fa.size();
-            for (std::size_t k = 0; k < fa.size(); ++k)
-                if (fa[k].blockBytes == bb)
-                    g = k;
-            if (g == fa.size())
-                fa.push_back({bb, trace::StackDistanceAnalyzer(bb)});
-            fa_of_config[m] = g;
-        }
-    }
-
-    // --- Phase 1: one serial L1 replay into the shared log.
-    FilteredEventLog l1log;
-    l1log.warmEvents = FilteredEventLog::kNoBoundary;
-    l1log.events.reserve(refs.size / 8);
-    for (std::size_t i = 0; i < refs.size; ++i) {
-        if (i == warmup_refs) {
-            filter.resetCounts();
-            l1log.warmEvents = l1log.events.size();
-        }
-        filter.step(refs[i], l1log);
-        if (opts.faBound)
-            for (FaState &f : fa)
-                f.analyzer.access(refs[i].addr);
-    }
-
-    // Pivot-independent halves, computed once and shared: the solo
-    // sweeps (raw stream) and the L2 ghost forest over the L1 log,
-    // which doubles as the exactness invariant for every pivot.
-    std::vector<GhostCounts> pivot_solo, member_solo;
-    if (opts.solo) {
-        pivot_solo = sweepSoloStream(refs, warmup_refs,
-                                     family.pivots, pivot_pol,
-                                     opts.shards);
-        member_solo = sweepSoloStream(refs, warmup_refs,
-                                      family.l3.configs, l3_pol,
-                                      opts.shards);
-    }
-    const std::vector<GhostCounts> pivot_forest =
-        sweepEventLog(l1log, family.pivots, pivot_pol, opts.shards);
-
-    // --- Phase 2: per pivot, one exact filtered replay and one
-    // sharded ghost sweep of the much smaller L2-filtered log.
-    std::vector<TraceProfile> out(family.pivots.size());
-    FilteredEventLog l2log;
-    for (std::size_t p = 0; p < family.pivots.size(); ++p) {
-        CascadeFilter cascade(params, family.pivots[p]);
-        filterEventLog(l1log, cascade, l2log);
-
-        // The pivot is both exactly replayed (CascadeFilter) and
-        // ghost-modelled (the L2 forest): the two are provably the
-        // same sequence, so their counts must agree bit for bit.
-        if (!sameCounts(cascade.counts(), pivot_forest[p]))
-            mlc_panic("profileCascadeTrace: pivot ",
-                      family.pivots[p].toString(),
-                      " exact replay disagrees with the L2 ghost "
-                      "forest (", cascade.counts().readMisses, "/",
-                      cascade.counts().reads, " vs ",
-                      pivot_forest[p].readMisses, "/",
-                      pivot_forest[p].reads,
-                      " read misses/requests)");
-
-        const std::vector<GhostCounts> filtered = sweepEventLog(
-            l2log, family.l3.configs, l3_pol, opts.shards);
-
-        TraceProfile &tp = out[p];
-        tp.instructions = filter.instructions();
-        tp.ifetches = filter.ifetches();
-        tp.loads = filter.loads();
-        tp.stores = filter.stores();
-        tp.l1ReadRequests = filter.l1ReadRequests();
-        tp.l1ReadMisses = filter.l1ReadMisses();
-        tp.pivotChain.push_back(
-            {family.pivots[p], cascade.counts(),
-             opts.solo ? pivot_solo[p] : GhostCounts{}});
-        tp.configs.resize(n3);
-        for (std::size_t m = 0; m < n3; ++m) {
-            ConfigProfile &cp = tp.configs[m];
-            cp.spec = family.l3.configs[m];
-            cp.filtered = filtered[m];
-            if (opts.solo)
-                cp.solo = member_solo[m];
-            if (opts.faBound) {
-                const trace::StackDistanceAnalyzer &a =
-                    fa[fa_of_config[m]].analyzer;
-                cp.faMissRatio = a.missRatio(cp.spec.sizeBytes /
-                                             cp.spec.blockBytes);
-                cp.faCompulsory = a.infiniteCount();
-            }
-        }
-    }
-    return out;
-}
-
-std::vector<TraceProfile>
-profileCascadeTrace(const hier::HierarchyParams &base,
-                    const CascadeFamilySpec &family,
-                    const std::vector<trace::MemRef> &refs,
-                    std::uint64_t warmup_refs,
-                    const ProfileOptions &opts)
-{
-    return profileCascadeTrace(base, family,
-                               trace::RefSpan{refs.data(),
-                                              refs.size()},
-                               warmup_refs, opts);
+    return profileRefs<GhostTagForest, trace::StackDistanceAnalyzer>(
+        base, family.pivots, family.l3.configs, refs, warmup_refs,
+        opts);
 }
 
 std::vector<std::vector<TraceProfile>>
@@ -290,20 +112,11 @@ profileCascadeSuite(const hier::HierarchyParams &base,
                     const expt::TraceStore &store, std::size_t jobs,
                     const ProfileOptions &opts)
 {
-    const std::size_t n_traces = store.size();
-    std::vector<std::vector<TraceProfile>> out(
-        family.pivots.size(),
-        std::vector<TraceProfile>(n_traces));
-    parallelFor(jobs, n_traces, [&](std::size_t t) {
-        std::vector<TraceProfile> per_pivot = profileCascadeTrace(
-            base, family, store.traces()[t],
-            expt::scaledWarmup(store.specs()[t]), opts);
-        for (std::size_t p = 0; p < per_pivot.size(); ++p) {
-            per_pivot[p].traceName = store.specs()[t].name;
-            out[p][t] = std::move(per_pivot[p]);
-        }
-    });
-    return out;
+    return cascadeSuite(family.pivots.size(), store, jobs,
+                        [&](trace::RefSpan refs, std::uint64_t warm) {
+                            return profileCascadeTrace(base, family,
+                                                       refs, warm, opts);
+                        });
 }
 
 } // namespace onepass

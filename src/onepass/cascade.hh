@@ -10,21 +10,21 @@
  * fix one *pivot* L2 configuration and the L3 request stream is a
  * pure function of (L1 config, pivot config, trace). A
  * CascadeFilter therefore replays the pivot exactly (a single
- * cache::Cache fed the L1-filtered event log, emitting fills,
+ * cache::Cache fed the L1-filtered event stream, emitting fills,
  * write-backs and forwarded writes in the same order
- * hier::HierarchySimulator would) and records the departing stream
- * as a second, far smaller FilteredEventLog. A ghost-tag sweep of
- * that log prices every L3 family member at once, while the
- * ordinary forest over the L1 log continues to cover every L2
- * member — so an N_L2 x N_L3 grid costs one L1 replay plus N_L2
- * cheap filtered replays instead of N_L2 * N_L3 timing runs.
+ * hier::HierarchySimulator would) and hands the departing, far
+ * sparser stream to a ghost forest that prices every L3 family
+ * member at once, while the ordinary forest over the L1 stream
+ * continues to cover every L2 member — so an N_L2 x N_L3 grid
+ * costs one L1 replay plus N_L2 cheap filtered replays instead of
+ * N_L2 * N_L3 timing runs.
  *
  * Exactness: per (pivot, member) the L3 read request and miss
  * counts equal a full three-level HierarchySimulator run bit for
  * bit (onepass::crossCheckCascade), including the pivot's own
  * counts, which double as a free invariant — they must match the
- * L2 ghost forest's counts for the same spec, and
- * profileCascadeTrace panics if they ever disagree.
+ * L2 ghost forest's counts for the same spec, and the profile
+ * panics if they ever disagree (onepass::assembleProfiles).
  */
 
 #ifndef MLC_ONEPASS_CASCADE_HH
@@ -172,10 +172,9 @@ void filterEventLog(const FilteredEventLog &in,
                     CascadeFilter &filter, FilteredEventLog &out);
 
 /**
- * Profile the joint family over one trace: one serial L1 replay,
- * one CascadeFilter replay per pivot, one sharded ghost sweep of
- * each L2-filtered log. Returns one TraceProfile per pivot, in
- * pivot order: configs covers the L3 family and pivotChain carries
+ * Profile the joint family over one trace: onepass::Profiler with
+ * the pivots as its chain (profiler.hh). Returns one TraceProfile
+ * per pivot, in pivot order: configs covers the L3 family and pivotChain carries
  * the pivot's spec and exact counts (plus solo counts under
  * ProfileOptions::solo; member solo and FA-bound outputs are
  * pivot-independent and shared across the returned profiles).
@@ -189,14 +188,6 @@ std::vector<TraceProfile>
 profileCascadeTrace(const hier::HierarchyParams &base,
                     const CascadeFamilySpec &family,
                     trace::RefSpan refs, std::uint64_t warmup_refs,
-                    const ProfileOptions &opts = {});
-
-/** Convenience overload for materialized vectors. */
-std::vector<TraceProfile>
-profileCascadeTrace(const hier::HierarchyParams &base,
-                    const CascadeFamilySpec &family,
-                    const std::vector<trace::MemRef> &refs,
-                    std::uint64_t warmup_refs,
                     const ProfileOptions &opts = {});
 
 /**

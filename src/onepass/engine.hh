@@ -16,6 +16,16 @@
  * miss-ratio definitions — local, global (both from the filtered
  * stream) and solo (from a second forest fed the raw CPU stream).
  *
+ * That pass is the one profile pipeline, onepass::Profiler
+ * (profiler.hh), with an empty pivot chain; the cascade engine
+ * (cascade.hh) and the sampled engine (mrc/engine.hh) are the same
+ * template with pivots or with sampled forests.
+ * ProfileOptions::shards picks the route: 1 applies each event
+ * in-line as it leaves the L1; N > 1 records the L1 stream first
+ * and sweeps it set-partitioned on N workers (sharded.hh; about
+ * 1.1x the in-line time at one shard, 1.2x with solo). The counts
+ * are bit-identical either way.
+ *
  * Exact versus approximate: the per-config read request and miss
  * counts equal a full hier::HierarchySimulator run bit for bit
  * (onepass::crossCheck verifies this), because functional cache
@@ -98,10 +108,11 @@ struct ProfileOptions
     bool faBound = false;
     /**
      * Partition the ghost-forest sweep by set index across this
-     * many ThreadPool workers (1 = the scalar in-line path).
-     * Results are bit-identical for every value — sets are
-     * independent, each is owned by exactly one shard, and the
-     * per-shard counts merge in fixed order (DESIGN.md §5f).
+     * many ThreadPool workers: 1 is the in-line route, N > 1 the
+     * two-phase route (sharded.hh). Results are bit-identical for
+     * every value — sets are independent, each is owned by exactly
+     * one shard, and the per-shard counts merge in fixed order
+     * (DESIGN.md §5f).
      * Composes with profileSuite's jobs: shards parallelize
      * *within* one trace, jobs across traces.
      */
@@ -180,18 +191,11 @@ struct TraceProfile
  * first warmup_refs references without counting, then count over
  * the rest. Panics when the family cannot be modelled exactly
  * (see GhostPolicies::fromLevel) or when a member's block size is
- * smaller than the L1 fill size.
+ * smaller than the L1 block (onepass::validateChain).
  */
 TraceProfile profileTrace(const hier::HierarchyParams &base,
                           const FamilySpec &family,
                           trace::RefSpan refs,
-                          std::uint64_t warmup_refs,
-                          const ProfileOptions &opts = {});
-
-/** Convenience overload for materialized vectors. */
-TraceProfile profileTrace(const hier::HierarchyParams &base,
-                          const FamilySpec &family,
-                          const std::vector<trace::MemRef> &refs,
                           std::uint64_t warmup_refs,
                           const ProfileOptions &opts = {});
 

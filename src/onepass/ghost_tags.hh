@@ -71,6 +71,8 @@ struct GhostCounts
     std::uint64_t extraAccesses = 0;
     std::uint64_t extraMisses = 0;
 
+    bool operator==(const GhostCounts &) const = default;
+
     /** Misses / reads (the local read miss ratio). */
     double localMissRatio() const;
     /** Misses / @p cpu_reads (the global read miss ratio). */

@@ -1,21 +1,14 @@
 #include "onepass/sharded.hh"
 
 #include <algorithm>
-#include <limits>
 
-#include "onepass/l1_filter.hh"
-#include "trace/stack_distance.hh"
 #include "util/bits.hh"
-#include "util/logging.hh"
 #include "util/thread_pool.hh"
 
 namespace mlc {
 namespace onepass {
 
 namespace {
-
-constexpr std::size_t kNoBoundary =
-    std::numeric_limits<std::size_t>::max();
 
 /** Set-ownership geometry of one family member: member m is split
  *  min(shards, sets_m) ways, shard r owning sets {r, r+S_m, ...}
@@ -41,18 +34,8 @@ std::vector<ShardGroup>
 shardGroups(const std::vector<GhostCacheSpec> &configs)
 {
     std::vector<ShardGroup> groups;
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        const unsigned shift = exactLog2(configs[i].blockBytes);
-        ShardGroup *g = nullptr;
-        for (ShardGroup &cand : groups)
-            if (cand.blockShift == shift)
-                g = &cand;
-        if (!g) {
-            groups.push_back({shift, {}});
-            g = &groups.back();
-        }
-        g->members.push_back(i);
-    }
+    for (BlockGroup &g : blockGroups(configs))
+        groups.push_back({exactLog2(g.blockBytes), std::move(g.members)});
     return groups;
 }
 
@@ -100,22 +83,36 @@ mergeShardCounts(const std::vector<std::vector<GhostCounts>> &per,
     return out;
 }
 
-} // namespace
+/** What one event does to every member that owns its set. */
+struct SweepEvent
+{
+    Addr addr;
+    /** Allocate on a miss; otherwise touch on hit only. */
+    bool install;
+    /** Counter pair the access lands in (none: tags only). */
+    enum Bucket { Read, Extra, None } bucket;
+};
 
+/**
+ * The set-partitioned sweep both public sweeps share: @p n_events
+ * events, event i given by @p decode(i). Counters zero when the
+ * sweep reaches @p boundary, or at the end when the boundary lies
+ * past the last event (kNoBoundary disables the reset).
+ */
+template <typename Decode>
 std::vector<GhostCounts>
-sweepEventLog(const FilteredEventLog &log,
-              const std::vector<GhostCacheSpec> &configs,
-              const GhostPolicies &policies, std::size_t shards)
+sweepShards(std::size_t n_events, std::size_t boundary,
+            const std::vector<GhostCacheSpec> &configs,
+            std::size_t shards, Decode decode)
 {
     const std::size_t n = configs.size();
     shards = std::max<std::size_t>(1, shards);
     const std::vector<MemberGeom> geoms =
         memberGeoms(configs, shards);
     const std::vector<ShardGroup> groups = shardGroups(configs);
-    const bool write_allocates =
-        policies.downstreamWriteMiss ==
-        cache::DownstreamWriteMissPolicy::Allocate;
 
+    // Every shard scans every event but touches only the sets it
+    // owns: state is disjoint by construction, no locks or atomics.
     std::vector<std::vector<GhostCounts>> results(shards);
     parallelFor(shards, shards, [&](std::size_t s) {
         std::vector<GhostCounts> &counts = results[s];
@@ -125,56 +122,64 @@ sweepEventLog(const FilteredEventLog &log,
             arrays.emplace_back(g.localSets, g.ways);
         counts.assign(n, GhostCounts{});
 
-        for (std::size_t idx = 0; idx < log.events.size(); ++idx) {
-            if (idx == log.warmEvents)
+        for (std::size_t i = 0; i < n_events; ++i) {
+            if (i == boundary)
                 counts.assign(n, GhostCounts{});
-            const std::uint64_t word = log.events[idx];
-            const std::uint64_t kind =
-                word & FilteredEventLog::kKindMask;
-            const Addr addr = word & ~FilteredEventLog::kKindMask;
+            const SweepEvent e = decode(i);
             for (const ShardGroup &grp : groups) {
-                const std::uint64_t block = addr >> grp.blockShift;
+                const std::uint64_t block = e.addr >> grp.blockShift;
                 for (std::size_t m : grp.members) {
                     const MemberGeom &g = geoms[m];
                     const std::uint64_t set = block & g.setMask;
                     const std::uint64_t q = g.bySm.div(set);
                     if (set - q * g.shardCount != s)
                         continue;
+                    const bool hit =
+                        e.install ? arrays[m].touchOrInstallAt(q, block)
+                                  : arrays[m].touchOnlyAt(q, block);
                     GhostCounts &c = counts[m];
-                    switch (kind) {
-                      case FilteredEventLog::ReadCounted: {
-                        const bool hit =
-                            arrays[m].touchOrInstallAt(q, block);
+                    if (e.bucket == SweepEvent::Read) {
                         ++c.reads;
-                        if (!hit)
-                            ++c.readMisses;
-                        break;
-                      }
-                      case FilteredEventLog::ReadUncounted: {
-                        const bool hit =
-                            arrays[m].touchOrInstallAt(q, block);
+                        c.readMisses += !hit;
+                    } else if (e.bucket == SweepEvent::Extra) {
                         ++c.extraAccesses;
-                        if (!hit)
-                            ++c.extraMisses;
-                        break;
-                      }
-                      default: // Write
-                        if (write_allocates)
-                            arrays[m].touchOrInstallAt(q, block);
-                        else
-                            arrays[m].touchOnlyAt(q, block);
-                        break;
+                        c.extraMisses += !hit;
                     }
                 }
             }
         }
-
-        // The boundary may lie past the last event (short streams).
-        if (log.warmEvents != kNoBoundary &&
-            log.warmEvents >= log.events.size())
+        if (boundary != FilteredEventLog::kNoBoundary &&
+            boundary >= n_events)
             counts.assign(n, GhostCounts{});
     });
     return mergeShardCounts(results, n);
+}
+
+} // namespace
+
+std::vector<GhostCounts>
+sweepEventLog(const FilteredEventLog &log,
+              const std::vector<GhostCacheSpec> &configs,
+              const GhostPolicies &policies, std::size_t shards)
+{
+    const bool write_allocates =
+        policies.downstreamWriteMiss ==
+        cache::DownstreamWriteMissPolicy::Allocate;
+    return sweepShards(
+        log.events.size(), log.warmEvents, configs, shards,
+        [&](std::size_t i) {
+            const std::uint64_t word = log.events[i];
+            const Addr addr = word & ~FilteredEventLog::kKindMask;
+            switch (word & FilteredEventLog::kKindMask) {
+              case FilteredEventLog::ReadCounted:
+                return SweepEvent{addr, true, SweepEvent::Read};
+              case FilteredEventLog::ReadUncounted:
+                return SweepEvent{addr, true, SweepEvent::Extra};
+              default: // Write
+                return SweepEvent{addr, write_allocates,
+                                  SweepEvent::None};
+            }
+        });
 }
 
 std::vector<GhostCounts>
@@ -182,179 +187,21 @@ sweepSoloStream(trace::RefSpan refs, std::uint64_t warmup_refs,
                 const std::vector<GhostCacheSpec> &configs,
                 const GhostPolicies &policies, std::size_t shards)
 {
-    const std::size_t n = configs.size();
-    shards = std::max<std::size_t>(1, shards);
-    const std::vector<MemberGeom> geoms =
-        memberGeoms(configs, shards);
-    const std::vector<ShardGroup> groups = shardGroups(configs);
+    // Mirrors GhostTagForest::soloAccess: a store miss allocates
+    // only under write-allocate.
     const bool store_allocates =
         policies.alloc == cache::AllocPolicy::WriteAllocate;
-
-    std::vector<std::vector<GhostCounts>> results(shards);
-    parallelFor(shards, shards, [&](std::size_t s) {
-        std::vector<GhostCounts> &counts = results[s];
-        std::vector<GhostTagArray> solo_arrays;
-        solo_arrays.reserve(n);
-        for (const MemberGeom &g : geoms)
-            solo_arrays.emplace_back(g.localSets, g.ways);
-        counts.assign(n, GhostCounts{});
-        for (std::size_t i = 0; i < refs.size; ++i) {
-            if (i == warmup_refs)
-                counts.assign(n, GhostCounts{});
+    return sweepShards(
+        refs.size,
+        warmup_refs < refs.size ? warmup_refs
+                                : FilteredEventLog::kNoBoundary,
+        configs, shards, [&](std::size_t i) {
             const trace::MemRef &ref = refs[i];
-            for (const ShardGroup &grp : groups) {
-                const std::uint64_t block =
-                    ref.addr >> grp.blockShift;
-                for (std::size_t m : grp.members) {
-                    const MemberGeom &g = geoms[m];
-                    const std::uint64_t set = block & g.setMask;
-                    const std::uint64_t q = g.bySm.div(set);
-                    if (set - q * g.shardCount != s)
-                        continue;
-                    GhostCounts &c = counts[m];
-                    if (ref.isRead()) {
-                        const bool hit =
-                            solo_arrays[m].touchOrInstallAt(q,
-                                                            block);
-                        ++c.reads;
-                        if (!hit)
-                            ++c.readMisses;
-                    } else {
-                        // Mirrors GhostTagForest::soloAccess: a
-                        // store miss allocates only under
-                        // write-allocate.
-                        const bool hit =
-                            store_allocates
-                                ? solo_arrays[m].touchOrInstallAt(
-                                      q, block)
-                                : solo_arrays[m].touchOnlyAt(q,
-                                                             block);
-                        ++c.extraAccesses;
-                        if (!hit)
-                            ++c.extraMisses;
-                    }
-                }
-            }
-        }
-    });
-    return mergeShardCounts(results, n);
-}
-
-TraceProfile
-profileTraceSharded(const hier::HierarchyParams &base,
-                    const FamilySpec &family, trace::RefSpan refs,
-                    std::uint64_t warmup_refs,
-                    const ProfileOptions &opts)
-{
-    if (family.configs.empty())
-        mlc_panic("profileTrace: empty cache family");
-    const std::size_t shards = std::max<std::size_t>(1, opts.shards);
-
-    L1Filter filter(base);
-    const hier::HierarchyParams &params = filter.params();
-    if (params.levels.empty())
-        mlc_panic("profileTrace: the base machine has no downstream "
-                  "level for the family to stand in for");
-
-    const std::uint32_t l1_block = std::max(
-        params.l1d.geometry.blockBytes,
-        params.splitL1 ? params.l1i.geometry.blockBytes : 0u);
-    for (const GhostCacheSpec &spec : family.configs) {
-        if (spec.blockBytes < l1_block)
-            mlc_panic("profileTrace: family member ",
-                      spec.toString(),
-                      " has a smaller block than the ", l1_block,
-                      "B first-level block, which the hierarchy "
-                      "disallows");
-        if (spec.blockBytes < 4)
-            mlc_panic("sharded profile: family member ",
-                      spec.toString(),
-                      " has a block under 4 bytes; the event log "
-                      "packs the event kind into the low two "
-                      "address bits");
-    }
-
-    const GhostPolicies policies = GhostPolicies::fromLevel(
-        params.levels[0],
-        [&] {
-            std::uint32_t m = 1;
-            for (const GhostCacheSpec &spec : family.configs)
-                m = std::max(m, spec.assoc);
-            return m;
-        }());
-
-    const std::size_t n = family.configs.size();
-
-    // FA-bound analyzers span the whole stream (see profileTrace).
-    struct FaState
-    {
-        std::uint32_t blockBytes;
-        trace::StackDistanceAnalyzer analyzer;
-    };
-    std::vector<FaState> fa;
-    std::vector<std::size_t> fa_of_config(n, 0);
-    if (opts.faBound) {
-        for (std::size_t m = 0; m < n; ++m) {
-            const std::uint32_t bb = family.configs[m].blockBytes;
-            std::size_t g = fa.size();
-            for (std::size_t k = 0; k < fa.size(); ++k)
-                if (fa[k].blockBytes == bb)
-                    g = k;
-            if (g == fa.size())
-                fa.push_back({bb, trace::StackDistanceAnalyzer(bb)});
-            fa_of_config[m] = g;
-        }
-    }
-
-    // --- Phase 1: one serial L1 replay, recording the departing
-    // event stream instead of applying it.
-    FilteredEventLog log;
-    log.warmEvents = kNoBoundary;
-    log.events.reserve(refs.size / 8); // miss streams are sparse
-    for (std::size_t i = 0; i < refs.size; ++i) {
-        if (i == warmup_refs) {
-            filter.resetCounts();
-            log.warmEvents = log.events.size();
-        }
-        filter.step(refs[i], log);
-        if (opts.faBound)
-            for (FaState &f : fa)
-                f.analyzer.access(refs[i].addr);
-    }
-
-    // --- Phase 2: every shard sweeps the log (and, for solo, the
-    // raw stream), touching only the sets it owns. State is
-    // disjoint by construction; no locks, no atomics.
-    const std::vector<GhostCounts> filtered =
-        sweepEventLog(log, family.configs, policies, shards);
-    const std::vector<GhostCounts> solo =
-        opts.solo ? sweepSoloStream(refs, warmup_refs,
-                                    family.configs, policies, shards)
-                  : std::vector<GhostCounts>();
-
-    TraceProfile out;
-    out.instructions = filter.instructions();
-    out.ifetches = filter.ifetches();
-    out.loads = filter.loads();
-    out.stores = filter.stores();
-    out.l1ReadRequests = filter.l1ReadRequests();
-    out.l1ReadMisses = filter.l1ReadMisses();
-    out.configs.resize(n);
-    for (std::size_t m = 0; m < n; ++m) {
-        ConfigProfile &cp = out.configs[m];
-        cp.spec = family.configs[m];
-        cp.filtered = filtered[m];
-        if (opts.solo)
-            cp.solo = solo[m];
-        if (opts.faBound) {
-            const trace::StackDistanceAnalyzer &a =
-                fa[fa_of_config[m]].analyzer;
-            cp.faMissRatio = a.missRatio(cp.spec.sizeBytes /
-                                         cp.spec.blockBytes);
-            cp.faCompulsory = a.infiniteCount();
-        }
-    }
-    return out;
+            return ref.isRead()
+                       ? SweepEvent{ref.addr, true, SweepEvent::Read}
+                       : SweepEvent{ref.addr, store_allocates,
+                                    SweepEvent::Extra};
+        });
 }
 
 } // namespace onepass

@@ -1,20 +1,23 @@
 /**
  * @file
- * Set-partitioned (sharded) execution of the one-pass profile.
+ * Set-partitioned (sharded) sweeps: the second phase of the
+ * two-phase profile route.
  *
- * The scalar profileTrace() interleaves the L1 replay with the
- * ghost-forest updates. The sharded path splits them: one serial
- * replay of the L1s records the departing event stream into a
- * compact log (8 bytes per event), then S workers sweep that log
- * in parallel, each owning the sets `set % S == shard` of every
- * family member. Sets of a physically-indexed cache are
- * independent — an access to set A never reads or writes the tags,
- * stamps or victim choice of set B — so partitioning by set index
- * touches disjoint state, and LRU order inside a set depends only
- * on the *relative* order of that set's accesses, which each shard
- * preserves by scanning the log in order. Per-shard integer counts
- * summed in fixed shard order therefore reproduce the scalar
- * counts bit for bit, for every shard count (DESIGN.md §5f).
+ * The in-line route (onepass::Profiler at ProfileOptions::shards
+ * == 1) applies each event to the forests as it leaves the L1. At
+ * shards > 1 the Profiler records the departing stream into a
+ * compact log (8 bytes per event), then S workers sweep it, each
+ * owning the sets `set % S == shard` of every family member. Sets
+ * of a physically-indexed cache are independent, and LRU order
+ * inside a set depends only on the relative order of that set's
+ * accesses, which each shard keeps by scanning the log in order.
+ * Per-shard integer counts summed in fixed shard order therefore
+ * reproduce the in-line counts bit for bit (DESIGN.md §5f).
+ *
+ * At one shard this route costs about 1.1x the in-line time (1.2x
+ * with solo; Release, 8-trace paper suite, DESIGN.md §5f).
+ * Recording and replaying the log alone costs 0.97x: the extra is
+ * the per-member set-ownership test in these sweeps.
  *
  * Members with fewer sets than shards are clamped: member m is
  * split S_m = min(S, sets_m) ways, so the degenerate one-set cache
@@ -79,24 +82,11 @@ struct FilteredEventLog
 };
 
 /**
- * The sharded equivalent of profileTrace(): identical results
- * (bit for bit, including solo and FA-bound outputs) for any
- * @p opts.shards >= 1, with the forest sweep partitioned across
- * min(shards, hardware) ThreadPool workers. profileTrace()
- * dispatches here when opts.shards > 1; call it rather than this.
- */
-TraceProfile profileTraceSharded(const hier::HierarchyParams &base,
-                                 const FamilySpec &family,
-                                 trace::RefSpan refs,
-                                 std::uint64_t warmup_refs,
-                                 const ProfileOptions &opts);
-
-/**
  * Sweep one recorded event log over a whole family: the
- * set-partitioned ghost-forest pass of profileTraceSharded(),
- * reusable for any FilteredEventLog — the L1-filtered stream or a
- * CascadeFilter's L2-filtered stream (cascade.hh). Counts are
- * merged in fixed (member-major, shard-minor) order and are
+ * set-partitioned ghost-forest pass of the two-phase profile route
+ * (profiler.hh), usable on any FilteredEventLog — the L1-filtered
+ * stream or a CascadeFilter's L2-filtered stream (cascade.hh).
+ * Counts are merged in fixed (member-major, shard-minor) order and are
  * bit-identical for every @p shards >= 1. ReadCounted events land
  * in reads/readMisses, ReadUncounted in extraAccesses/extraMisses,
  * Write events update recency (allocating only when @p policies

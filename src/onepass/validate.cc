@@ -1,7 +1,6 @@
 #include "onepass/validate.hh"
 
 #include "expt/runner.hh"
-#include "util/logging.hh"
 #include "util/thread_pool.hh"
 
 namespace mlc {
@@ -52,6 +51,89 @@ CrossCheckReport::print(std::ostream &os) const
        << rows.size() << " pairs mismatch\n";
 }
 
+namespace {
+
+/** Give @p level the geometry of @p spec, with fetch == block so
+ *  finalize() never sees a stale sub-block/fetch-group ratio when
+ *  the family varies block size. */
+void
+reshape(cache::CacheParams &level, const GhostCacheSpec &spec)
+{
+    level.geometry.sizeBytes = spec.sizeBytes;
+    level.geometry.assoc = spec.assoc;
+    level.geometry.blockBytes = spec.blockBytes;
+    level.fetchBytes = spec.blockBytes;
+}
+
+/**
+ * Simulate every (trace, pivot, member) triple in full and compare
+ * it with @p profiles, indexed [pivot][trace] (one row of traces
+ * when @p pivots is empty). Rows are ordered trace-major, then
+ * pivot, then member.
+ */
+CrossCheckReport
+checkProfiles(const hier::HierarchyParams &base,
+              const std::vector<GhostCacheSpec> &pivots,
+              const std::vector<GhostCacheSpec> &members,
+              const std::vector<std::vector<TraceProfile>> &profiles,
+              const expt::TraceStore &store, std::size_t jobs,
+              bool solo)
+{
+    const std::size_t n_pivots = profiles.size();
+    const std::size_t n_configs = members.size();
+    // SimResults::levels[0] is the L1, so the member's results sit
+    // one past its position in HierarchyParams::levels.
+    const std::size_t member_pos = pivots.empty() ? 0 : 1;
+    CrossCheckReport report;
+    report.rows.resize(store.size() * n_pivots * n_configs);
+
+    parallelFor(jobs, report.rows.size(), [&](std::size_t i) {
+        const std::size_t t = i / (n_pivots * n_configs);
+        const std::size_t p = (i / n_configs) % n_pivots;
+        const std::size_t c = i % n_configs;
+
+        hier::HierarchyParams params = base;
+        if (!pivots.empty())
+            reshape(params.levels[0], pivots[p]);
+        reshape(params.levels[member_pos], members[c]);
+        params.measureSolo = solo;
+        const hier::SimResults r = expt::runOnTrace(
+            params, store.traces()[t],
+            expt::scaledWarmup(store.specs()[t]));
+        const hier::LevelResults &timing = r.levels[member_pos + 1];
+
+        const TraceProfile &prof = profiles[p][t];
+        const ConfigProfile &cp = prof.configs[c];
+        CrossCheckRow &row = report.rows[i];
+        row.traceName = store.specs()[t].name;
+        row.spec = members[c];
+        row.onepassReads = cp.filtered.reads;
+        row.onepassMisses = cp.filtered.readMisses;
+        row.timingReads = timing.readRequests;
+        row.timingMisses = timing.readMisses;
+        row.l1Match =
+            r.levels[0].readRequests == prof.l1ReadRequests &&
+            r.levels[0].readMisses == prof.l1ReadMisses;
+        // Identical integer divisions on both sides, so the solo
+        // doubles compare bitwise-equal when the counts agree.
+        if (solo) {
+            row.onepassSolo = cp.solo.localMissRatio();
+            row.timingSolo = timing.soloMissRatio;
+        }
+        if (!pivots.empty()) {
+            const PivotLink &link = prof.pivotChain[0];
+            row.pivotMatch =
+                r.levels[1].readRequests == link.counts.reads &&
+                r.levels[1].readMisses == link.counts.readMisses &&
+                (!solo || r.levels[1].soloMissRatio ==
+                              link.solo.localMissRatio());
+        }
+    });
+    return report;
+}
+
+} // namespace
+
 CrossCheckReport
 crossCheck(const hier::HierarchyParams &base,
            const FamilySpec &family, const expt::TraceStore &store,
@@ -59,56 +141,9 @@ crossCheck(const hier::HierarchyParams &base,
 {
     ProfileOptions opts;
     opts.solo = solo;
-    const std::vector<TraceProfile> profiles =
-        profileSuite(base, family, store, jobs, opts);
-
-    const std::size_t n_configs = family.configs.size();
-    const std::size_t n_rows = store.size() * n_configs;
-    CrossCheckReport report;
-    report.rows.resize(n_rows);
-
-    parallelFor(jobs, n_rows, [&](std::size_t i) {
-        const std::size_t t = i / n_configs;
-        const std::size_t c = i % n_configs;
-        const GhostCacheSpec &spec = family.configs[c];
-
-        hier::HierarchyParams p = base;
-        if (p.levels.empty())
-            mlc_panic("crossCheck: base machine has no downstream "
-                      "level");
-        p.levels[0].geometry.sizeBytes = spec.sizeBytes;
-        p.levels[0].geometry.assoc = spec.assoc;
-        p.levels[0].geometry.blockBytes = spec.blockBytes;
-        // Keep fetch == block when the family varies block size so
-        // finalize() never sees a stale sub-block/fetch-group ratio.
-        p.levels[0].fetchBytes = spec.blockBytes;
-        p.measureSolo = solo;
-
-        const hier::SimResults r = expt::runOnTrace(
-            p, store.traces()[t],
-            expt::scaledWarmup(store.specs()[t]));
-
-        const TraceProfile &prof = profiles[t];
-        const ConfigProfile &cp = prof.configs[c];
-        CrossCheckRow row;
-        row.traceName = store.specs()[t].name;
-        row.spec = spec;
-        row.onepassReads = cp.filtered.reads;
-        row.onepassMisses = cp.filtered.readMisses;
-        row.timingReads = r.levels[1].readRequests;
-        row.timingMisses = r.levels[1].readMisses;
-        row.l1Match =
-            r.levels[0].readRequests == prof.l1ReadRequests &&
-            r.levels[0].readMisses == prof.l1ReadMisses;
-        if (solo) {
-            // Identical integer divisions on both sides, so the
-            // doubles compare bitwise-equal when the counts agree.
-            row.onepassSolo = cp.solo.localMissRatio();
-            row.timingSolo = r.levels[1].soloMissRatio;
-        }
-        report.rows[i] = row;
-    });
-    return report;
+    return checkProfiles(base, {}, family.configs,
+                         {profileSuite(base, family, store, jobs, opts)},
+                         store, jobs, solo);
 }
 
 CrossCheckReport
@@ -119,70 +154,10 @@ crossCheckCascade(const hier::HierarchyParams &base,
 {
     ProfileOptions opts;
     opts.solo = solo;
-    const std::vector<std::vector<TraceProfile>> profiles =
-        profileCascadeSuite(base, family, store, jobs, opts);
-
-    const std::size_t n_pivots = family.pivots.size();
-    const std::size_t n_configs = family.l3.configs.size();
-    const std::size_t n_rows =
-        store.size() * n_pivots * n_configs;
-    CrossCheckReport report;
-    report.rows.resize(n_rows);
-
-    parallelFor(jobs, n_rows, [&](std::size_t i) {
-        const std::size_t t = i / (n_pivots * n_configs);
-        const std::size_t p = (i / n_configs) % n_pivots;
-        const std::size_t c = i % n_configs;
-        const GhostCacheSpec &pivot = family.pivots[p];
-        const GhostCacheSpec &spec = family.l3.configs[c];
-
-        hier::HierarchyParams params = base;
-        if (params.levels.size() < 2)
-            mlc_panic("crossCheckCascade: base machine has fewer "
-                      "than two downstream levels");
-        params.levels[0].geometry.sizeBytes = pivot.sizeBytes;
-        params.levels[0].geometry.assoc = pivot.assoc;
-        params.levels[0].geometry.blockBytes = pivot.blockBytes;
-        params.levels[0].fetchBytes = pivot.blockBytes;
-        params.levels[1].geometry.sizeBytes = spec.sizeBytes;
-        params.levels[1].geometry.assoc = spec.assoc;
-        params.levels[1].geometry.blockBytes = spec.blockBytes;
-        params.levels[1].fetchBytes = spec.blockBytes;
-        params.measureSolo = solo;
-
-        const hier::SimResults r = expt::runOnTrace(
-            params, store.traces()[t],
-            expt::scaledWarmup(store.specs()[t]));
-
-        const TraceProfile &prof = profiles[p][t];
-        const ConfigProfile &cp = prof.configs[c];
-        const PivotLink &link = prof.pivotChain[0];
-        CrossCheckRow row;
-        row.traceName = store.specs()[t].name;
-        row.spec = spec;
-        row.onepassReads = cp.filtered.reads;
-        row.onepassMisses = cp.filtered.readMisses;
-        row.timingReads = r.levels[2].readRequests;
-        row.timingMisses = r.levels[2].readMisses;
-        row.l1Match =
-            r.levels[0].readRequests == prof.l1ReadRequests &&
-            r.levels[0].readMisses == prof.l1ReadMisses;
-        row.pivotMatch =
-            r.levels[1].readRequests == link.counts.reads &&
-            r.levels[1].readMisses == link.counts.readMisses;
-        if (solo) {
-            // Identical integer divisions on both sides, so the
-            // doubles compare bitwise-equal when the counts agree.
-            row.onepassSolo = cp.solo.localMissRatio();
-            row.timingSolo = r.levels[2].soloMissRatio;
-            row.pivotMatch =
-                row.pivotMatch &&
-                r.levels[1].soloMissRatio ==
-                    link.solo.localMissRatio();
-        }
-        report.rows[i] = row;
-    });
-    return report;
+    return checkProfiles(
+        base, family.pivots, family.l3.configs,
+        profileCascadeSuite(base, family, store, jobs, opts), store,
+        jobs, solo);
 }
 
 } // namespace onepass

@@ -192,7 +192,12 @@ Json::dump() const
 
 namespace {
 
-/** Recursive-descent parser over a char range. */
+const std::string kTooDeep = "nesting deeper than " +
+                             std::to_string(Json::kMaxDepth) +
+                             " levels";
+
+/** Recursive-descent parser over a char range; recursion is
+ *  bounded by Json::kMaxDepth. */
 class Parser
 {
   public:
@@ -275,8 +280,18 @@ class Parser
             out = Json(std::move(s));
             return true;
         }
-        case '[': return array(out, error);
-        case '{': return object(out, error);
+        case '[':
+        case '{': {
+            if (depth_ == Json::kMaxDepth) {
+                error = fail(kTooDeep);
+                return false;
+            }
+            ++depth_;
+            const bool ok =
+                *p_ == '[' ? array(out, error) : object(out, error);
+            --depth_;
+            return ok;
+        }
         default: return number(out, error);
         }
     }
@@ -473,6 +488,7 @@ class Parser
     const char *p_;
     const char *end_;
     const char *begin_ = p_;
+    std::size_t depth_ = 0;
 };
 
 } // namespace
@@ -482,6 +498,12 @@ Json::parse(const std::string &text, Json &out, std::string &error)
 {
     Parser parser(text.data(), text.data() + text.size());
     return parser.document(out, error);
+}
+
+bool
+Json::tooDeep(const std::string &error)
+{
+    return error.rfind(kTooDeep, 0) == 0;
 }
 
 } // namespace serve

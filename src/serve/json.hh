@@ -19,6 +19,7 @@
 #ifndef MLC_SERVE_JSON_HH
 #define MLC_SERVE_JSON_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -96,14 +97,23 @@ class Json
      *  insertion order, shortest-round-trip numbers). */
     std::string dump() const;
 
+    /** Deepest array/object nesting parse() accepts (requests
+     *  nest 2-3 levels): bounds the parser's recursion. */
+    static constexpr std::size_t kMaxDepth = 64;
+
     /**
      * Parse one JSON document; trailing whitespace allowed,
-     * anything else after the value is an error. On failure
-     * returns false and fills @p error with a position-tagged
-     * message; @p out is left in an unspecified state.
+     * anything else after the value is an error, as is nesting
+     * deeper than kMaxDepth. On failure returns false and fills
+     * @p error with a position-tagged message; @p out is left in
+     * an unspecified state.
      */
     static bool parse(const std::string &text, Json &out,
                       std::string &error);
+
+    /** Whether a parse() @p error reports the nesting limit (a
+     *  well-formed document the server refuses, not bad JSON). */
+    static bool tooDeep(const std::string &error);
 
   private:
     Kind kind_ = Kind::Null;

@@ -62,7 +62,9 @@ parseRequest(const std::string &line)
     Json doc;
     std::string parse_error;
     if (!Json::parse(line, doc, parse_error))
-        return reject("bad_json", parse_error);
+        return reject(Json::tooDeep(parse_error) ? "bad_request"
+                                                 : "bad_json",
+                      parse_error);
     if (!doc.isObject())
         return reject("bad_request", "request must be an object");
 

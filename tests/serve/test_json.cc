@@ -1,5 +1,8 @@
 /** @file Tests for the protocol's minimal JSON value type. */
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "serve/json.hh"
@@ -95,6 +98,57 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_FALSE(Json::parse("{} {}", out, error));
     // Trailing whitespace is fine (lines come off a socket).
     EXPECT_TRUE(Json::parse("{} \n", out, error)) << error;
+}
+
+/** @p depth objects nested through key "k" around a 0. */
+std::string
+nestedObjects(std::size_t depth)
+{
+    std::string s;
+    for (std::size_t i = 0; i < depth; ++i)
+        s += "{\"k\":";
+    return s + "0" + std::string(depth, '}');
+}
+
+TEST(Json, NestingAtTheLimitParses)
+{
+    const std::size_t d = Json::kMaxDepth;
+    const Json doc = parseOk(std::string(d, '[') + std::string(d, ']'));
+    const Json *v = &doc;
+    for (std::size_t i = 1; i < d; ++i) {
+        ASSERT_EQ(v->asArray().size(), 1u);
+        v = &v->asArray()[0];
+    }
+    EXPECT_TRUE(v->asArray().empty());
+    EXPECT_TRUE(parseOk(nestedObjects(d)).isObject());
+}
+
+TEST(Json, NestingPastTheLimitFailsCleanly)
+{
+    const std::size_t d = Json::kMaxDepth + 1;
+    const std::vector<std::string> too_deep = {
+        std::string(d, '[') + std::string(d, ']'),
+        nestedObjects(d),
+        std::string("[").append(nestedObjects(d - 1)).append("]"),
+        // 2 MB of '[': deep enough to overflow an unbounded
+        // recursive-descent parser's stack.
+        std::string(2u << 20, '['),
+    };
+    for (const std::string &text : too_deep) {
+        Json out;
+        std::string error;
+        EXPECT_FALSE(Json::parse(text, out, error));
+        EXPECT_TRUE(Json::tooDeep(error)) << error;
+        EXPECT_NE(error.find("nesting deeper than 64 levels"),
+                  std::string::npos)
+            << error;
+    }
+
+    // Other errors are not mistaken for the nesting limit.
+    Json out;
+    std::string error;
+    EXPECT_FALSE(Json::parse("[[1,", out, error));
+    EXPECT_FALSE(Json::tooDeep(error)) << error;
 }
 
 TEST(Json, AsU64ChecksIntegrality)

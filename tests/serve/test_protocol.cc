@@ -42,6 +42,19 @@ TEST(Protocol, NumericIdsBecomeStrings)
     EXPECT_EQ(p.request.id, "7");
 }
 
+TEST(Protocol, NestingPastTheLimitIsABadRequest)
+{
+    const ParsedRequest p = parseRequest(
+        std::string("{\"op\":\"ping\",\"x\":")
+            .append(Json::kMaxDepth, '[')
+            .append(Json::kMaxDepth, ']')
+            .append("}"));
+    EXPECT_FALSE(p.ok);
+    EXPECT_EQ(p.errorCode, "bad_request");
+    EXPECT_NE(p.errorMessage.find("nesting deeper than"),
+              std::string::npos);
+}
+
 TEST(Protocol, RejectionsKeepTheId)
 {
     // Even a rejected request's error response must be correlatable.

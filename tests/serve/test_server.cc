@@ -78,6 +78,20 @@ TEST(Server, PingStatsAndErrorsNeedNoEngine)
     EXPECT_NE(junk.find("bad_json"), std::string::npos);
 }
 
+TEST(Server, DeeplyNestedLineIsABadRequestNotACrash)
+{
+    Server server(ServerOptions{});
+    const std::string resp =
+        server.handleLine(std::string(2u << 20, '['));
+    EXPECT_NE(resp.find("\"ok\":false"), std::string::npos) << resp;
+    EXPECT_NE(resp.find("bad_request"), std::string::npos) << resp;
+    EXPECT_NE(resp.find("nesting deeper than"), std::string::npos)
+        << resp;
+    EXPECT_EQ(server.handleLine("{\"op\":\"ping\",\"id\":\"p\"}"),
+              "{\"id\":\"p\",\"ok\":true,\"cached\":false,"
+              "\"compute_us\":0}");
+}
+
 TEST(Server, RejectsWhatTheEnginesWouldPanicOn)
 {
     Server server(ServerOptions{});
@@ -619,6 +633,23 @@ TEST(Server, ConcurrentClientsMatchSerialReplay)
               lopts.clients * lopts.requests);
     EXPECT_EQ(concurrent, serial)
         << "racing clients must not change any answer";
+    server.stop();
+}
+
+TEST(Server, SocketSurvivesADeeplyNestedLine)
+{
+    ServerOptions opts;
+    opts.socketPath = testSocketPath("deep");
+    Server server(opts);
+    server.start();
+    LineClient client(opts.socketPath);
+    std::string resp;
+    ASSERT_TRUE(client.sendLine(std::string(2u << 20, '[')));
+    ASSERT_TRUE(client.recvLine(resp));
+    EXPECT_NE(resp.find("bad_request"), std::string::npos) << resp;
+    ASSERT_TRUE(client.sendLine("{\"op\":\"ping\"}"));
+    ASSERT_TRUE(client.recvLine(resp));
+    EXPECT_NE(resp.find("\"ok\":true"), std::string::npos) << resp;
     server.stop();
 }
 
