@@ -12,10 +12,6 @@
 #include <sys/resource.h>
 #endif
 
-#include "mrc/engine.hh"
-#include "onepass/grid.hh"
-#include "sample/engine.hh"
-#include "sample/sweep.hh"
 #include "util/csv.hh"
 #include "util/logging.hh"
 #include "util/str.hh"
@@ -39,8 +35,31 @@ namespace mlc {
 namespace bench {
 
 namespace {
+
 const char kRule[] =
     "==========================================================";
+
+/** The value of the first `--name=V` or `--name V` argument; false
+ *  when the flag is absent. */
+bool
+flagValue(int argc, char **argv, std::string_view name,
+          std::string &value)
+{
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        if (startsWith(arg, name) && arg.size() > name.size() &&
+            arg[name.size()] == '=') {
+            value = std::string(arg.substr(name.size() + 1));
+            return true;
+        }
+        if (arg == name && i + 1 < argc) {
+            value = argv[i + 1];
+            return true;
+        }
+    }
+    return false;
+}
+
 } // namespace
 
 void
@@ -59,119 +78,51 @@ printHeader(const std::string &figure,
 std::size_t
 jobsFromArgs(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        std::string value;
-        if (startsWith(arg, "--jobs="))
-            value = std::string(arg.substr(7));
-        else if (arg == "--jobs" && i + 1 < argc)
-            value = argv[i + 1];
-        else
-            continue;
-        unsigned long long jobs = 0;
-        if (!parseUnsigned(value, jobs) || jobs < 1)
-            mlc_fatal("bad --jobs value '", value, "'");
-        return static_cast<std::size_t>(jobs);
-    }
-    return defaultJobs();
+    std::string value;
+    if (!flagValue(argc, argv, "--jobs", value))
+        return defaultJobs();
+    unsigned long long jobs = 0;
+    if (!parseUnsigned(value, jobs) || jobs < 1)
+        mlc_fatal("bad --jobs value '", value, "'");
+    return static_cast<std::size_t>(jobs);
 }
 
 std::size_t
 shardsFromArgs(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        std::string value;
-        if (startsWith(arg, "--shards="))
-            value = std::string(arg.substr(9));
-        else if (arg == "--shards" && i + 1 < argc)
-            value = argv[i + 1];
-        else
-            continue;
-        unsigned long long shards = 0;
+    std::string value;
+    unsigned long long shards = 0;
+    if (flagValue(argc, argv, "--shards", value)) {
         if (!parseUnsigned(value, shards) || shards < 1)
             mlc_fatal("bad --shards value '", value, "'");
         return static_cast<std::size_t>(shards);
     }
     if (const char *env = std::getenv("MLC_SHARDS");
-        env && env[0] != '\0') {
-        unsigned long long shards = 0;
-        if (parseUnsigned(env, shards) && shards >= 1)
-            return static_cast<std::size_t>(shards);
-    }
+        env && parseUnsigned(env, shards) && shards >= 1)
+        return static_cast<std::size_t>(shards);
     return 1;
 }
 
 Engine
 engineFromArgs(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        std::string value;
-        if (startsWith(arg, "--engine="))
-            value = std::string(arg.substr(9));
-        else if (arg == "--engine" && i + 1 < argc)
-            value = argv[i + 1];
-        else
-            continue;
-        if (value == "timing")
-            return Engine::Timing;
-        if (value == "onepass")
-            return Engine::OnePass;
-        if (value == "sampled")
-            return Engine::Sampled;
-        if (value == "mrc")
-            return Engine::Mrc;
-        mlc_fatal("bad --engine value '", value,
-                  "' (expected 'timing', 'onepass', 'sampled' or "
-                  "'mrc')");
-    }
-    return Engine::Timing;
+    std::string value;
+    Engine kind = Engine::Timing;
+    if (flagValue(argc, argv, "--engine", value) &&
+        !engine::parseKind(value, kind))
+        mlc_fatal("bad --engine value '", value, "' (expected ",
+                  engine::kindList(), ")");
+    return kind;
 }
 
 mrc::SamplerConfig
 samplerFromArgs(int argc, char **argv)
 {
-    mrc::SamplerConfig cfg;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        if (startsWith(arg, "--sample-rate=")) {
-            const std::string value(arg.substr(14));
-            try {
-                cfg.rate = std::stod(value);
-            } catch (const std::exception &) {
-                mlc_fatal("bad --sample-rate value '", value, "'");
-            }
-            if (!(cfg.rate > 0.0) || cfg.rate > 1.0)
-                mlc_fatal("--sample-rate must be in (0, 1], got ",
-                          cfg.rate);
-        } else if (startsWith(arg, "--sample-budget=")) {
-            const std::string value(arg.substr(16));
-            try {
-                cfg.budget = std::stoull(value);
-            } catch (const std::exception &) {
-                mlc_fatal("bad --sample-budget value '", value,
-                          "'");
-            }
-        }
-    }
-    return cfg;
-}
-
-const char *
-engineName(Engine engine)
-{
-    switch (engine) {
-    case Engine::Timing:
-        return "timing";
-    case Engine::OnePass:
-        return "onepass";
-    case Engine::Sampled:
-        return "sampled";
-    case Engine::Mrc:
-        return "mrc";
-    }
-    return "?";
+    engine::Options opts;
+    for (int i = 1; i < argc; ++i)
+        if (startsWith(argv[i], "--sample-"))
+            engine::parseFlag(argv[i], opts);
+    return opts.sampler;
 }
 
 std::string
@@ -228,7 +179,7 @@ maxRssJson()
 }
 
 expt::DesignSpaceGrid
-buildRelExecGrid(Engine engine, const hier::HierarchyParams &base,
+buildRelExecGrid(Engine kind, const hier::HierarchyParams &base,
                  const std::vector<std::uint64_t> &sizes,
                  const std::vector<std::uint32_t> &cycles,
                  const expt::TraceStore &store, std::size_t jobs,
@@ -238,26 +189,17 @@ buildRelExecGrid(Engine engine, const hier::HierarchyParams &base,
     // Engine choice goes to stderr: stdout must stay byte-identical
     // between a default run and an explicit --engine=timing run.
     std::cerr << "  sweeping " << sizes.size() << "x"
-              << cycles.size() << " grid (" << engineName(engine)
+              << cycles.size() << " grid (" << engine::kindName(kind)
               << " engine)...\n";
-    if (engine == Engine::OnePass)
-        return onepass::buildGrid(base, sizes, cycles, store, jobs,
-                                  shards);
-    if (engine == Engine::Mrc)
-        return mrc::buildGrid(base, sizes, cycles, store, jobs,
-                              sampler);
-    if (engine == Engine::Sampled)
-        // Checkpointed: all cells of a trace share each window's
-        // warming pass (bit-identical to sample::buildGrid, which
-        // the sweep tests assert).
-        return sample::buildGridCheckpointed(
-            base, sizes, cycles, store, sampled_opts, jobs);
-    return expt::parallelBuildGrid(
-        sizes, cycles, store,
-        [&](std::uint64_t size, std::uint32_t cyc) {
-            return base.withL2(size, cyc);
-        },
-        jobs);
+    engine::Options opts;
+    opts.kind = kind;
+    opts.jobs = jobs;
+    opts.shards = shards;
+    opts.sampler = sampler;
+    opts.sampled = sampled_opts;
+    return expt::DesignSpaceGrid(
+        sizes, cycles,
+        engine::priceCells(opts, base, sizes, cycles, store).rel);
 }
 
 void

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/engine.hh"
 #include "expt/design_space.hh"
 #include "expt/runner.hh"
 #include "expt/workload_suite.hh"
@@ -43,39 +44,19 @@ std::size_t jobsFromArgs(int argc, char **argv);
  */
 std::size_t shardsFromArgs(int argc, char **argv);
 
-/**
- * How a grid gets its relative execution times.
- *
- * Timing simulates every grid cell in full (write buffers, bus
- * contention, the lot). OnePass computes exact read miss ratios
- * for all sizes in one pass per trace and prices the cells with
- * the Equation 1-3 analytical model — same miss ratios, modelled
- * (not simulated) timing, orders of magnitude faster on wide
- * grids. Sampled keeps the full timing model but replays only a
- * scheduled subset of each trace, reporting CPI with a confidence
- * interval (DESIGN.md §5d). See DESIGN.md's one-pass section for
- * the exact/approx boundary.
- */
-enum class Engine
-{
-    Timing,
-    OnePass,
-    Sampled,
-    /** The one-pass pipeline over a spatially-sampled reference
-     *  subset (mrc::buildGrid): O(sample) cache state, streaming
-     *  replay, exact at --sample-rate=1.0. */
-    Mrc,
-};
+/** How a grid gets its relative execution times: the engine
+ *  layer's kinds (engine/engine.hh, DESIGN.md §5k). */
+using Engine = engine::Kind;
 
-/** `--engine=onepass|timing|sampled|mrc` (default Timing). */
+/** `--engine=NAME` or `--engine NAME` (default Timing), parsed by
+ *  engine::parseKind. */
 Engine engineFromArgs(int argc, char **argv);
-
-const char *engineName(Engine engine);
 
 /**
  * Sampling knobs for Engine::Mrc: `--sample-rate=P` (0 < P <= 1,
  * default 0.01) and `--sample-budget=N` (adaptive live-block
- * budget, default 0 = fixed-rate). Other engines ignore both.
+ * budget, default 0 = fixed-rate), parsed by engine::parseFlag.
+ * Other engines ignore both.
  */
 mrc::SamplerConfig samplerFromArgs(int argc, char **argv);
 
@@ -116,9 +97,8 @@ std::string maxRssJson();
 
 /**
  * Build the (L2 size x L2 cycle) relative-execution-time grid for
- * a base machine over a shared trace store with the chosen engine,
- * using @p jobs workers (deterministic for any value: see
- * expt::parallelBuildGrid / onepass::buildGrid / sample::buildGrid).
+ * a base machine over a shared trace store with the chosen engine
+ * (engine::priceCells, deterministic for any @p jobs).
  * @p sampled_opts is consulted by Engine::Sampled only; the default
  * (auto period, ~200 windows) suits the bench-suite traces.
  * @p shards set-partitions the one-pass forest sweep within each
@@ -126,7 +106,7 @@ std::string maxRssJson();
  * @p sampler is consulted by Engine::Mrc only (see samplerFromArgs).
  */
 expt::DesignSpaceGrid
-buildRelExecGrid(Engine engine, const hier::HierarchyParams &base,
+buildRelExecGrid(Engine kind, const hier::HierarchyParams &base,
                  const std::vector<std::uint64_t> &sizes,
                  const std::vector<std::uint32_t> &cycles,
                  const expt::TraceStore &store,

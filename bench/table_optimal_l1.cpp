@@ -83,7 +83,7 @@ main(int argc, char **argv)
     const std::size_t cols = l1_sizes.size();
     std::vector<double> ns_per_instr(l2_cycles.size() * cols, 0.0);
     std::cerr << "  sweeping " << l2_cycles.size() << "x" << cols
-              << " L1/L2 table (" << bench::engineName(engine)
+              << " L1/L2 table (" << mlc::engine::kindName(engine)
               << " engine)...\n";
     if (engine == bench::Engine::OnePass) {
         // The L2 cycle axis changes timing only, so one profiling

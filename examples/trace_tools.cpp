@@ -87,32 +87,9 @@ using namespace mlc::trace;
 namespace {
 
 bool
-isDinero(const std::string &path)
-{
-    return endsWith(path, ".din") || endsWith(path, ".din.txt");
-}
-
-bool
 isCompressed(const std::string &path)
 {
     return endsWith(path, ".mlcz");
-}
-
-std::unique_ptr<TraceSource>
-openTrace(const std::string &path, std::ifstream &file)
-{
-    file.open(path, isDinero(path) ? std::ios::in
-                                   : std::ios::in |
-                                         std::ios::binary);
-    if (!file) {
-        std::cerr << "cannot open " << path << "\n";
-        std::exit(1);
-    }
-    if (isDinero(path))
-        return std::make_unique<DineroReader>(file);
-    if (isCompressed(path))
-        return std::make_unique<CompressedReader>(file);
-    return std::make_unique<BinaryReader>(file);
 }
 
 int
@@ -129,7 +106,7 @@ cmdGenerate(int argc, char **argv)
         argc > 4 ? std::strtoull(argv[4], nullptr, 0) : 6;
 
     auto src = makeMultiprogrammedWorkload(procs, 12000, 0);
-    std::ofstream out(path, isDinero(path)
+    std::ofstream out(path, isDineroPath(path)
                                 ? std::ios::out
                                 : std::ios::out | std::ios::binary);
     if (!out) {
@@ -137,7 +114,7 @@ cmdGenerate(int argc, char **argv)
         return 1;
     }
     MemRef ref;
-    if (isDinero(path)) {
+    if (isDineroPath(path)) {
         DineroWriter writer(out, true);
         for (std::uint64_t i = 0; i < refs && src->next(ref); ++i)
             writer.put(ref);
@@ -178,7 +155,7 @@ cmdSynth(int argc, char **argv)
     params.switchInterval = 8'000;
     params.profile = StackDepthProfile::pareto(0.60, 4.0, 1u << 14);
 
-    std::ofstream out(path, isDinero(path)
+    std::ofstream out(path, isDineroPath(path)
                                 ? std::ios::out
                                 : std::ios::out | std::ios::binary);
     if (!out) {
@@ -218,7 +195,7 @@ cmdSynth(int argc, char **argv)
     };
 
     std::uint64_t n = 0;
-    if (isDinero(path)) {
+    if (isDineroPath(path)) {
         DineroWriter writer(out, true);
         n = pump(writer);
     } else if (isCompressed(path)) {
@@ -238,7 +215,7 @@ cmdSynth(int argc, char **argv)
     // Round-trip: map the file back and verify it replays the
     // stream we just generated. Plain MLCT binary only — that is
     // the format the zero-copy replay path consumes.
-    if (!isDinero(path) && !isCompressed(path)) {
+    if (!isDineroPath(path) && !isCompressed(path)) {
         MappedBinaryTrace mapped(path);
         if (mapped.span().size != n) {
             std::cerr << "round-trip FAILED: mapped "
@@ -267,10 +244,10 @@ cmdConvert(int argc, char **argv)
         return 1;
     }
     std::ifstream in_file;
-    auto src = openTrace(argv[2], in_file);
+    auto src = openFile(argv[2], in_file);
     const std::string out_path = argv[3];
     std::ofstream out(out_path,
-                      isDinero(out_path)
+                      isDineroPath(out_path)
                           ? std::ios::out
                           : std::ios::out | std::ios::binary);
     if (!out) {
@@ -279,7 +256,7 @@ cmdConvert(int argc, char **argv)
     }
     std::uint64_t n = 0;
     MemRef ref;
-    if (isDinero(out_path)) {
+    if (isDineroPath(out_path)) {
         DineroWriter writer(out, true);
         while (src->next(ref)) {
             writer.put(ref);
@@ -312,7 +289,7 @@ cmdStat(int argc, char **argv)
         return 1;
     }
     std::ifstream in_file;
-    auto src = openTrace(argv[2], in_file);
+    auto src = openFile(argv[2], in_file);
 
     RefCounts counts;
     StackDistanceAnalyzer distances(16);
@@ -379,7 +356,7 @@ cmdWarm(int argc, char **argv)
     }
 
     std::ifstream in_file;
-    auto src = openTrace(path, in_file);
+    auto src = openFile(path, in_file);
     // Pre-materialize the entire stream — this is the cold-load
     // cost the sidecar lets the server skip re-measuring.
     const std::vector<MemRef> refs = collect(
@@ -428,7 +405,7 @@ cmdMrc(int argc, char **argv)
         return 1;
     }
     const std::string path = argv[2];
-    if (isDinero(path) || isCompressed(path)) {
+    if (isDineroPath(path) || isCompressed(path)) {
         std::cerr << "mrc: streams MLCT binary traces only (got "
                   << path << "); use 'conv' first\n";
         return 1;
@@ -710,7 +687,7 @@ cmdCkpt(int argc, char **argv)
         sizes = expt::paperSizes();
 
     std::ifstream in_file;
-    auto src = openTrace(trace_path, in_file);
+    auto src = openFile(trace_path, in_file);
     const std::vector<MemRef> refs = collect(
         *src, std::numeric_limits<std::uint64_t>::max());
     if (refs.empty()) {

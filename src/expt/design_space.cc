@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "expt/runner.hh"
 #include "util/logging.hh"
@@ -26,6 +27,19 @@ DesignSpaceGrid::DesignSpaceGrid(std::vector<std::uint64_t> sizes,
         mlc_panic("design-space axes must be ascending");
     values_.assign(sizes_.size() * cycles_.size(), 0.0);
     filled_.assign(values_.size(), false);
+}
+
+DesignSpaceGrid::DesignSpaceGrid(std::vector<std::uint64_t> sizes,
+                                 std::vector<std::uint32_t> cycles,
+                                 std::vector<double> values)
+    : DesignSpaceGrid(std::move(sizes), std::move(cycles))
+{
+    if (values.size() != values_.size())
+        mlc_panic("design-space grid of ", sizes_.size(), "x",
+                  cycles_.size(), " cells given ", values.size(),
+                  " values");
+    values_ = std::move(values);
+    filled_.assign(values_.size(), true);
 }
 
 void
@@ -246,7 +260,6 @@ parallelBuildGrid(
     const std::function<double(std::uint64_t, std::uint32_t)> &eval,
     std::size_t jobs)
 {
-    DesignSpaceGrid grid(sizes, cycles);
     const std::size_t cols = cycles.size();
     const std::size_t cells = sizes.size() * cols;
     // Each cell writes its own slot; the grid is then assembled in
@@ -255,10 +268,7 @@ parallelBuildGrid(
     parallelFor(jobs, cells, [&](std::size_t i) {
         slots[i] = eval(sizes[i / cols], cycles[i % cols]);
     });
-    for (std::size_t s = 0; s < sizes.size(); ++s)
-        for (std::size_t c = 0; c < cols; ++c)
-            grid.set(s, c, slots[s * cols + c]);
-    return grid;
+    return DesignSpaceGrid(sizes, cycles, std::move(slots));
 }
 
 DesignSpaceGrid

@@ -40,6 +40,12 @@ class DesignSpaceGrid
     DesignSpaceGrid(std::vector<std::uint64_t> sizes,
                     std::vector<std::uint32_t> cycles);
 
+    /** A filled grid over row-major @p values ([size][cycle], the
+     *  layout engine::priceCells returns). */
+    DesignSpaceGrid(std::vector<std::uint64_t> sizes,
+                    std::vector<std::uint32_t> cycles,
+                    std::vector<double> values);
+
     /** Fill one cell. */
     void set(std::size_t size_idx, std::size_t cycle_idx,
              double rel_exec_time);

@@ -1,9 +1,22 @@
 #include "mrc/sampler.hh"
 
+#include <cstdio>
+
 #include "util/logging.hh"
 
 namespace mlc {
 namespace mrc {
+
+std::string
+SamplerConfig::key() const
+{
+    char rate_buf[32];
+    std::snprintf(rate_buf, sizeof(rate_buf), "%.17g", rate);
+    return std::string("rate=") + rate_buf +
+           ";budget=" + std::to_string(budget) +
+           ";minsets=" + std::to_string(minSets) +
+           ";salt=" + std::to_string(saltSeed);
+}
 
 std::uint64_t
 thresholdForRate(double rate)

@@ -33,6 +33,7 @@
 #define MLC_MRC_SAMPLER_HH
 
 #include <cstdint>
+#include <string>
 
 namespace mlc {
 namespace mrc {
@@ -102,6 +103,11 @@ struct SamplerConfig
      * seed, so the exactness contract is seed-independent.
      */
     std::uint64_t saltSeed = 0;
+
+    /** Canonical identity string over every knob above: equal keys
+     *  sample identically (the query server's memo and batch keys
+     *  carry it for mrc requests). */
+    std::string key() const;
 };
 
 /** The hash filter itself: threshold + adaptive bookkeeping. */

@@ -1,5 +1,7 @@
 #include "onepass/grid.hh"
 
+#include <utility>
+
 #include "onepass/model_timing.hh"
 #include "util/logging.hh"
 
@@ -22,8 +24,9 @@ gridFromProfiles(const hier::HierarchyParams &base,
 
     const std::uint32_t assoc =
         base.levels.empty() ? 1 : base.levels[0].geometry.assoc;
-    expt::DesignSpaceGrid grid(sizes, cycles);
-    for (std::size_t c = 0; c < cycles.size(); ++c) {
+    const std::size_t cols = cycles.size();
+    std::vector<double> cells(sizes.size() * cols);
+    for (std::size_t c = 0; c < cols; ++c) {
         // The model depends on the cycle axis only (n_L2 scales
         // with the L2 cycle time; size changes no cost term), so
         // one EqTimingModel serves the whole column.
@@ -33,11 +36,11 @@ gridFromProfiles(const hier::HierarchyParams &base,
             double sum = 0.0;
             for (const TraceProfile &p : profiles)
                 sum += model.relExec(p, s);
-            grid.set(s, c,
-                     sum / static_cast<double>(profiles.size()));
+            cells[s * cols + c] =
+                sum / static_cast<double>(profiles.size());
         }
     }
-    return grid;
+    return expt::DesignSpaceGrid(sizes, cycles, std::move(cells));
 }
 
 expt::DesignSpaceGrid

@@ -190,11 +190,14 @@ buildGrid(const hier::HierarchyParams &base,
     // Cells parallelize; each cell's suite run stays serial, so
     // every cell value is independent of the jobs count and the
     // grid inherits parallelBuildGrid's determinism.
+    // Each cell keeps the base's L2 associativity
+    // (engine::cellMachine's mapping).
+    const std::uint32_t assoc = base.levels.at(0).geometry.assoc;
     return expt::parallelBuildGrid(
         sizes, cycles,
         [&](std::uint64_t size, std::uint32_t cycle) {
-            return runSuiteSampled(base.withL2(size, cycle), store,
-                                   opts)
+            return runSuiteSampled(base.withL2(size, cycle, assoc),
+                                   store, opts)
                 .relExecTime;
         },
         jobs);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "trace/binary.hh"
 #include "util/logging.hh"
@@ -529,25 +530,27 @@ runPaired(const hier::HierarchyParams &a,
     return out;
 }
 
-expt::DesignSpaceGrid
-buildGridCheckpointed(const hier::HierarchyParams &base,
+std::vector<double>
+gridCellsCheckpointed(const hier::HierarchyParams &base,
                       const std::vector<std::uint64_t> &sizes,
                       const std::vector<std::uint32_t> &cycles,
                       const expt::TraceStore &store,
                       const SampledOptions &opts, std::size_t jobs,
                       ckpt::CheckpointStore *ckpt_store,
-                      const std::string &farm_tag)
+                      const std::string &farm_tag, FarmTraffic *traffic)
 {
     if (store.size() == 0)
         mlc_panic("buildGridCheckpointed: empty trace store");
 
     // Row-major (size, cycle) flattening, matching
-    // DesignSpaceGrid's own layout.
+    // DesignSpaceGrid's own layout; each cell keeps the base's L2
+    // associativity (engine::cellMachine's mapping).
+    const std::uint32_t assoc = base.levels.at(0).geometry.assoc;
     std::vector<hier::HierarchyParams> configs;
     configs.reserve(sizes.size() * cycles.size());
     for (std::uint64_t size : sizes)
         for (std::uint32_t cycle : cycles)
-            configs.push_back(base.withL2(size, cycle));
+            configs.push_back(base.withL2(size, cycle, assoc));
 
     // Traces run serially — each trace's sweep already spreads its
     // configurations over the jobs — and the accumulation order is
@@ -563,16 +566,35 @@ buildGridCheckpointed(const hier::HierarchyParams &base,
         }
         const SweepResult sweep = runSweepCheckpointed(
             configs, store.span(t), opts, jobs, nullptr, policy);
+        if (ckpt_store && traffic) {
+            traffic->loads += sweep.fromCheckpointFile;
+            traffic->builds += sweep.builtCheckpointFile;
+            traffic->fallbacks += !sweep.fromCheckpointFile &&
+                                  !sweep.checkpointFallback.empty();
+        }
         for (std::size_t c = 0; c < configs.size(); ++c)
             acc[c] += sweep.perConfig[c].estRelExecTime;
     }
 
-    expt::DesignSpaceGrid grid(sizes, cycles);
     const double n = static_cast<double>(store.size());
-    for (std::size_t si = 0; si < sizes.size(); ++si)
-        for (std::size_t ci = 0; ci < cycles.size(); ++ci)
-            grid.set(si, ci, acc[si * cycles.size() + ci] / n);
-    return grid;
+    for (double &v : acc)
+        v /= n;
+    return acc;
+}
+
+expt::DesignSpaceGrid
+buildGridCheckpointed(const hier::HierarchyParams &base,
+                      const std::vector<std::uint64_t> &sizes,
+                      const std::vector<std::uint32_t> &cycles,
+                      const expt::TraceStore &store,
+                      const SampledOptions &opts, std::size_t jobs,
+                      ckpt::CheckpointStore *ckpt_store,
+                      const std::string &farm_tag)
+{
+    return expt::DesignSpaceGrid(
+        sizes, cycles,
+        gridCellsCheckpointed(base, sizes, cycles, store, opts, jobs,
+                              ckpt_store, farm_tag));
 }
 
 } // namespace sample

@@ -228,6 +228,26 @@ expt::DesignSpaceGrid buildGridCheckpointed(
     ckpt::CheckpointStore *ckpt_store = nullptr,
     const std::string &farm_tag = {});
 
+/** Checkpoint-farm traffic of a sweep over a suite, one count per
+ *  trace. */
+struct FarmTraffic
+{
+    std::uint64_t loads = 0;     //!< warm state loaded from disk
+    std::uint64_t builds = 0;    //!< farm entries published
+    std::uint64_t fallbacks = 0; //!< misses that re-warmed
+};
+
+/** buildGridCheckpointed()'s cells, row-major ([size][cycle]) and
+ *  without the grid's 2x2 floor; with a farm, @p traffic (if
+ *  non-null) accumulates its loads, builds and fallbacks. */
+std::vector<double> gridCellsCheckpointed(
+    const hier::HierarchyParams &base,
+    const std::vector<std::uint64_t> &sizes,
+    const std::vector<std::uint32_t> &cycles,
+    const expt::TraceStore &store, const SampledOptions &opts,
+    std::size_t jobs, ckpt::CheckpointStore *ckpt_store,
+    const std::string &farm_tag, FarmTraffic *traffic = nullptr);
+
 } // namespace sample
 } // namespace mlc
 

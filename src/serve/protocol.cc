@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "engine/engine.hh"
+#include "mrc/sampler.hh"
 #include "util/logging.hh"
 
 namespace mlc {
@@ -113,8 +115,8 @@ parseRequest(const std::string &line)
             return reject("bad_request", "engine must be a string",
                           id);
         req.engine = v->asString();
-        if (req.engine != "onepass" && req.engine != "timing" &&
-            req.engine != "sampled")
+        engine::Kind kind;
+        if (!engine::parseKind(req.engine, kind))
             return reject("bad_request",
                           "unknown engine '" + req.engine + "'",
                           id);
@@ -210,8 +212,14 @@ Request::batchKey() const
 {
     std::string k = "assoc=" + std::to_string(l2Assoc) +
                     ";l1=" + std::to_string(l1Total);
-    if (engine == "sampled")
+    // The sampled schedule is seeded per request; the mrc sampler
+    // is the library default (no request field sets it).
+    engine::Kind kind = engine::Kind::OnePass;
+    engine::parseKind(engine, kind);
+    if (kind == engine::Kind::Sampled)
         k += ";seed=" + std::to_string(seed);
+    else if (kind == engine::Kind::Mrc)
+        k += ";sampler=" + mrc::SamplerConfig{}.key();
     // Depth-3 requests never batch (or share profiles) with
     // depth-2 ones, and the l3 cycle time prices cells, so it must
     // split groups too.

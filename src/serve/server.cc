@@ -8,17 +8,8 @@
 #include <fstream>
 #include <limits>
 
-#include "expt/design_space.hh"
-#include "expt/runner.hh"
-#include "onepass/cascade.hh"
-#include "onepass/grid.hh"
-#include "onepass/model_timing.hh"
-#include "sample/sweep.hh"
+#include "engine/engine.hh"
 #include "serve/metrics.hh"
-#include "util/thread_pool.hh"
-#include "trace/binary.hh"
-#include "trace/compressed.hh"
-#include "trace/dinero.hh"
 #include "trace/source.hh"
 #include "util/bits.hh"
 #include "util/logging.hh"
@@ -60,27 +51,6 @@ fileTag(const std::string &path)
     if (dot != std::string::npos && dot > 0)
         name = name.substr(0, dot);
     return name;
-}
-
-std::vector<trace::MemRef>
-readTraceFile(const std::string &path)
-{
-    const bool dinero = endsWith(path, ".din") ||
-                        endsWith(path, ".din.txt");
-    std::ifstream file(path, dinero ? std::ios::in
-                                    : std::ios::in |
-                                          std::ios::binary);
-    if (!file)
-        mlc_fatal("serve: cannot open trace file ", path);
-    std::unique_ptr<trace::TraceSource> src;
-    if (dinero)
-        src = std::make_unique<trace::DineroReader>(file);
-    else if (endsWith(path, ".mlcz"))
-        src = std::make_unique<trace::CompressedReader>(file);
-    else
-        src = std::make_unique<trace::BinaryReader>(file);
-    return trace::collect(
-        *src, std::numeric_limits<std::uint64_t>::max());
 }
 
 /** `trace_tools warm` sidecar lookup: <path>.warm.json. Returns
@@ -128,6 +98,16 @@ validPoint(std::uint64_t size, std::uint32_t assoc,
         return false;
     }
     return true;
+}
+
+/** The engine a request names (parseRequest vetted the name). */
+engine::Kind
+kindOf(const Request &req)
+{
+    engine::Kind kind = engine::Kind::OnePass;
+    if (!engine::parseKind(req.engine, kind))
+        mlc_panic("serve: unvetted engine '", req.engine, "'");
+    return kind;
 }
 
 bool
@@ -205,7 +185,10 @@ Server::registerTraceFile(const std::string &path)
     workloads_.push_back(std::make_unique<Workload>(
         tag, expt::TraceStore::deferred(
                  {spec}, [path](const expt::TraceSpec &) {
-                     return readTraceFile(path);
+                     std::ifstream file;
+                     return trace::collect(
+                         *trace::openFile(path, file),
+                         std::numeric_limits<std::uint64_t>::max());
                  })));
     inform("serve: registered workload '", tag, "' from ", path,
            warm != 0 ? " (warm sidecar found)"
@@ -256,6 +239,18 @@ Server::baseFor(const Request &req)
     return p;
 }
 
+engine::Options
+Server::engineOptionsFor(const Request &req) const
+{
+    engine::Options o;
+    o.kind = kindOf(req);
+    o.jobs = jobs_;
+    o.shards = opts_.shards;
+    o.sampled = opts_.sampled;
+    o.sampled.seed = req.seed;
+    return o;
+}
+
 std::vector<double>
 Server::evaluateCells(const Request &req,
                       const std::vector<std::uint64_t> &sizes,
@@ -271,187 +266,41 @@ Server::evaluateCells(const Request &req,
         std::lock_guard<std::mutex> clk(countersMu_);
         ++counters_.engineRuns;
     }
-    const hier::HierarchyParams base = baseFor(req);
-    const std::size_t cols = cycles.size();
-    std::vector<double> cells(sizes.size() * cols, 0.0);
+    engine::Options o = engineOptionsFor(req);
+    o.farm = ckptStore_.get();
+    o.farmTag = wl.tag;
 
-    if (req.engine == "timing") {
-        // expt::parallelBuildGrid's cell schedule, minus the
-        // DesignSpaceGrid (whose 2x2 floor exists for contour
-        // plots): each cell is an independent serial runSuite, the
-        // cell set is spread over the pool, slot-indexed writes
-        // keep any jobs count bit-identical.
-        const std::uint32_t assoc =
-            req.l2Assoc != 0 ? req.l2Assoc
-                             : base.levels[0].geometry.assoc;
-        parallelFor(jobs_, cells.size(), [&](std::size_t i) {
-            const hier::HierarchyParams machine = base.withL2(
-                sizes[i / cols], cycles[i % cols], assoc);
-            cells[i] =
-                expt::runSuite(machine, wl.store, 1).relExecTime;
-        });
-        return cells;
-    }
-    if (req.engine == "sampled") {
-        // sample::buildGridCheckpointed's accumulation, cell-shaped:
-        // one warming pass per window serves every config, traces
-        // run serially with a fixed reduction order.
-        sample::SampledOptions so = opts_.sampled;
-        so.seed = req.seed;
-        std::vector<hier::HierarchyParams> configs;
-        configs.reserve(cells.size());
-        for (const std::uint64_t s : sizes)
-            for (const std::uint32_t c : cycles)
-                configs.push_back(base.withL2(s, c));
-        for (std::size_t t = 0; t < wl.store.size(); ++t) {
-            // With a farm attached, the warming pass for this
-            // (workload, schedule, family) is loaded from disk when
-            // a matching live-point file exists and teed to one
-            // when it does not — the values are bit-identical
-            // either way (the persistence contract).
-            sample::CheckpointPolicy policy;
-            policy.store = ckptStore_.get();
-            policy.traceId =
-                wl.tag + "/" + wl.store.specs()[t].name;
-            const sample::SweepResult sweep =
-                sample::runSweepCheckpointed(configs,
-                                             wl.store.span(t), so,
-                                             jobs_, nullptr,
-                                             policy);
-            if (ckptStore_) {
-                std::lock_guard<std::mutex> clk(countersMu_);
-                if (sweep.fromCheckpointFile)
-                    ++counters_.ckptLoads;
-                if (sweep.builtCheckpointFile)
-                    ++counters_.ckptBuilds;
-                if (!sweep.fromCheckpointFile &&
-                    !sweep.checkpointFallback.empty())
-                    ++counters_.ckptFallbacks;
-            }
-            for (std::size_t i = 0; i < cells.size(); ++i)
-                cells[i] += sweep.perConfig[i].estRelExecTime;
+    // Profiles stay resident per (workload, machine knobs, family):
+    // the engine names the family, this view adds the rest.
+    struct Resident final : engine::ProfileCache
+    {
+        serve::ProfileCache &cache;
+        std::string prefix;
+        Resident(serve::ProfileCache &c, std::string p)
+            : cache(c), prefix(std::move(p))
+        {
         }
-        const double n = static_cast<double>(wl.store.size());
-        for (double &v : cells)
-            v /= n;
-        return cells;
-    }
-
-    if (req.l3Size != 0) {
-        // Depth-3 one-pass: the cascade engine. The swept L2 sizes
-        // become the exactly-replayed pivots, the request's L3 the
-        // single ghost-swept member, and the resident entry is the
-        // pivot-major flattened profile matrix keyed by the joint
-        // family identity (CascadeFamilySpec::key() folds the
-        // pivot-family hash in, so unequal pivot sets never
-        // collide). No canonical-family widening here: every pivot
-        // costs an exact filtered replay, so the family is exactly
-        // what the batch asked for.
-        onepass::CascadeFamilySpec family;
-        for (const std::uint64_t s : sizes)
-            family.pivots.push_back(
-                {s, base.levels[0].geometry.assoc,
-                 base.levels[0].geometry.blockBytes});
-        family.l3.configs.push_back(
-            {req.l3Size, base.levels[1].geometry.assoc,
-             base.levels[1].geometry.blockBytes});
-        const std::string fam_key =
-            wl.tag + "#" + req.batchKey() + "#" + family.key();
-
-        ProfileCache::Profiles profiles =
-            profiles_.get(fam_key, "cascade");
-        if (!profiles) {
-            onepass::ProfileOptions popts;
-            popts.shards = opts_.shards;
-            auto nested = onepass::profileCascadeSuite(
-                base, family, wl.store, jobs_, popts);
-            std::vector<onepass::TraceProfile> flat;
-            flat.reserve(nested.size() * wl.store.size());
-            for (auto &per_pivot : nested)
-                for (auto &prof : per_pivot)
-                    flat.push_back(std::move(prof));
-            profiles = std::make_shared<
-                const std::vector<onepass::TraceProfile>>(
-                std::move(flat));
-            profiles_.put(fam_key, profiles, "cascade");
+        Profiles get(const std::string &key,
+                     const std::string &kind) override
+        {
+            return cache.get(prefix + key, kind);
         }
-
-        const std::size_t traces = wl.store.size();
-        for (std::size_t c = 0; c < cols; ++c) {
-            const onepass::EqTimingModel model =
-                onepass::EqTimingModel::forMachine(base.withL2(
-                    sizes[0], cycles[c],
-                    base.levels[0].geometry.assoc));
-            for (std::size_t s = 0; s < sizes.size(); ++s) {
-                double sum = 0.0;
-                for (std::size_t t = 0; t < traces; ++t)
-                    sum += model.relExec(
-                        (*profiles)[s * traces + t], 0);
-                cells[s * cols + c] =
-                    sum / static_cast<double>(traces);
-            }
+        void put(const std::string &key, Profiles profiles,
+                 const std::string &kind) override
+        {
+            cache.put(prefix + key, std::move(profiles), kind);
         }
-        return cells;
-    }
+    } resident(profiles_, wl.tag + "#" + req.batchKey() + "#");
 
-    // one-pass: the profile pass is the cost, so it is keyed and
-    // cached at family granularity. Requests inside the canonical
-    // paper-size universe all share one resident profile per
-    // (workload, machine knobs); exotic families get their own
-    // entry.
-    const std::vector<std::uint64_t> paper = expt::paperSizes();
-    const bool canonical = std::all_of(
-        sizes.begin(), sizes.end(), [&paper](std::uint64_t s) {
-            return std::find(paper.begin(), paper.end(), s) !=
-                   paper.end();
-        });
-    const std::vector<std::uint64_t> &fam_sizes =
-        canonical ? paper : sizes;
-    const onepass::FamilySpec family =
-        onepass::FamilySpec::l2Grid(base, fam_sizes);
-    const std::string fam_key =
-        wl.tag + "#" + req.batchKey() + "#" + family.key();
-
-    ProfileCache::Profiles profiles = profiles_.get(fam_key);
-    if (!profiles) {
-        onepass::ProfileOptions popts;
-        popts.shards = opts_.shards;
-        profiles = std::make_shared<
-            const std::vector<onepass::TraceProfile>>(
-            onepass::profileSuite(base, family, wl.store, jobs_,
-                                  popts));
-        profiles_.put(fam_key, profiles);
+    engine::Cells cells = engine::priceCells(
+        o, baseFor(req), sizes, cycles, wl.store, &resident);
+    if (o.farm) {
+        std::lock_guard<std::mutex> clk(countersMu_);
+        counters_.ckptLoads += cells.farm.loads;
+        counters_.ckptBuilds += cells.farm.builds;
+        counters_.ckptFallbacks += cells.farm.fallbacks;
     }
-
-    // Price the requested cells straight off the resident family
-    // (onepass::gridFromProfiles' math, member-indexed): the model
-    // depends on the cycle axis only, each size is a member lookup,
-    // and every cell's value is independent of the others.
-    std::vector<std::size_t> member;
-    member.reserve(sizes.size());
-    for (const std::uint64_t s : sizes) {
-        const auto it =
-            std::find(fam_sizes.begin(), fam_sizes.end(), s);
-        if (it == fam_sizes.end())
-            mlc_panic("serve: size missing from profile family");
-        member.push_back(static_cast<std::size_t>(
-            it - fam_sizes.begin()));
-    }
-    const std::uint32_t assoc =
-        base.levels.empty() ? 1 : base.levels[0].geometry.assoc;
-    for (std::size_t c = 0; c < cols; ++c) {
-        const onepass::EqTimingModel model =
-            onepass::EqTimingModel::forMachine(
-                base.withL2(fam_sizes[0], cycles[c], assoc));
-        for (std::size_t s = 0; s < sizes.size(); ++s) {
-            double sum = 0.0;
-            for (const onepass::TraceProfile &p : *profiles)
-                sum += model.relExec(p, member[s]);
-            cells[s * cols + c] =
-                sum / static_cast<double>(profiles->size());
-        }
-    }
-    return cells;
+    return std::move(cells.rel);
 }
 
 std::string
@@ -463,15 +312,14 @@ Server::handleLine(const std::string &line)
 MemoKey
 Server::memoKeyFor(const Request &req) const
 {
+    // The engine knobs (sampled schedule, mrc sampler) are fixed at
+    // startup, but the memo contract is "equal key => identical
+    // payload" across restarts and config changes too, so bake
+    // them in.
     std::string detail = req.detailKey();
-    if (req.engine == "sampled") {
-        // The schedule-shaping knobs are fixed at startup, but the
-        // memo contract is "equal key => identical payload" across
-        // restarts and config changes too, so bake them in.
-        sample::SampledOptions so = opts_.sampled;
-        so.seed = req.seed;
-        detail += "#" + so.key();
-    }
+    if (const std::string knobs = engineOptionsFor(req).key();
+        !knobs.empty())
+        detail += "#" + knobs;
     return MemoKey{req.workload, req.engine, std::move(detail)};
 }
 
@@ -564,12 +412,14 @@ Server::handleBatch(const std::vector<std::string> &lines)
             why = "unknown workload '" + req.workload + "'";
         else if (!validL1Total(req.l1Total, why))
             ;
-        else if (req.engine == "sampled" && req.l2Assoc != 0)
-            why = "l2_assoc is not supported by the sampled "
-                  "engine";
-        else if (req.engine == "sampled" && req.l3Size != 0)
-            why = "l3 levels are not supported by the sampled "
-                  "engine (use onepass or timing)";
+        else if (req.l2Assoc != 0 &&
+                 !engine::traits(kindOf(req)).l2Assoc)
+            why = "l2_assoc is not supported by the " + req.engine +
+                  " engine";
+        else if (req.l3Size != 0 &&
+                 !engine::traits(kindOf(req)).threeLevel)
+            why = "l3 levels are not supported by the " +
+                  req.engine + " engine (use onepass or timing)";
         if (why.empty() && req.l3Size != 0)
             validPoint(req.l3Size, req.l3Assoc, why, "l3");
         if (why.empty()) {
@@ -655,11 +505,11 @@ Server::handleBatch(const std::vector<std::string> &lines)
             continue;
         }
 
-        // A query miss: one-pass queries group into one engine
-        // call per (workload, machine knobs); timing/sampled
-        // queries stay individual (a union grid would price cells
+        // A query miss: queries to a profiled engine group into
+        // one engine call per (workload, machine knobs); the
+        // others stay individual (a union grid would price cells
         // nobody asked for, and those engines pay per cell).
-        if (req.engine == "onepass") {
+        if (engine::traits(kindOf(req)).profiled) {
             QueryGroup *group = nullptr;
             for (QueryGroup &g : groups)
                 if (g.engine == req.engine &&
@@ -694,9 +544,9 @@ Server::handleBatch(const std::vector<std::string> &lines)
     }
 
     // Phase 2: one engine call per group, answers in request
-    // order. The union grid is sound for one-pass: the cycle axis
-    // is closed-form and every requested size is profiled in the
-    // same single pass.
+    // order. The union grid is sound for profiled engines: the
+    // cycle axis is closed-form and every requested size is
+    // profiled in the same single pass.
     for (const QueryGroup &group : groups) {
         std::vector<std::uint64_t> usizes;
         std::vector<std::uint32_t> ucycles;

@@ -15,6 +15,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iosfwd>
+#include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/mem_ref.hh"
@@ -198,6 +202,17 @@ std::uint64_t drain(TraceSource &source, TraceSink &sink);
 
 /** Collect up to @p limit references into a vector. */
 std::vector<MemRef> collect(TraceSource &source, std::uint64_t limit);
+
+/** True for a text Dinero trace path (".din" or ".din.txt"). */
+bool isDineroPath(std::string_view path);
+
+/**
+ * Open the trace at @p path into @p file and return the reader its
+ * extension names: Dinero text (isDineroPath), ".mlcz" compressed,
+ * anything else MLCT binary. Fatal when the file cannot be opened.
+ */
+std::unique_ptr<TraceSource> openFile(const std::string &path,
+                                      std::ifstream &file);
 
 } // namespace trace
 } // namespace mlc
