@@ -6,7 +6,7 @@
  * One request object per line, one response object per line, in
  * request order. Verbs:
  *
- *   {"op":"query","engine":"onepass|timing|sampled",
+ *   {"op":"query","engine":"onepass|timing|sampled|mrc",
  *    "workload":"grid|paper|<trace tag>",
  *    "l2_size":262144,"l2_cycles":3,
  *    ["l2_assoc":2,"l1_total":8192,"seed":7,"id":"...",
