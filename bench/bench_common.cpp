@@ -1,6 +1,5 @@
 #include "bench_common.hh"
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -115,16 +114,6 @@ engineFromArgs(int argc, char **argv)
     return kind;
 }
 
-mrc::SamplerConfig
-samplerFromArgs(int argc, char **argv)
-{
-    engine::Options opts;
-    for (int i = 1; i < argc; ++i)
-        if (startsWith(argv[i], "--sample-"))
-            engine::parseFlag(argv[i], opts);
-    return opts.sampler;
-}
-
 std::string
 provenanceJson()
 {
@@ -140,18 +129,6 @@ materializeAll(std::vector<expt::TraceSpec> specs, std::size_t jobs)
     // byte-identical across --jobs values.
     std::cerr << "  generating " << specs.size() << " traces...\n";
     return expt::TraceStore::materialize(std::move(specs), jobs);
-}
-
-expt::TraceStore
-materializeAll(std::vector<expt::TraceSpec> specs, std::size_t jobs,
-               double &out_ms)
-{
-    const auto start = std::chrono::steady_clock::now();
-    expt::TraceStore store = materializeAll(std::move(specs), jobs);
-    const std::chrono::duration<double, std::milli> ms =
-        std::chrono::steady_clock::now() - start;
-    out_ms = ms.count();
-    return store;
 }
 
 long

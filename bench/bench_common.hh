@@ -53,14 +53,6 @@ using Engine = engine::Kind;
 Engine engineFromArgs(int argc, char **argv);
 
 /**
- * Sampling knobs for Engine::Mrc: `--sample-rate=P` (0 < P <= 1,
- * default 0.01) and `--sample-budget=N` (adaptive live-block
- * budget, default 0 = fixed-rate), parsed by engine::parseFlag.
- * Other engines ignore both.
- */
-mrc::SamplerConfig samplerFromArgs(int argc, char **argv);
-
-/**
  * Build-provenance fields for bench JSON records, as a fragment to
  * splice into an object: `"git_sha":"...","build_type":"...",
  * "compiler":"..."` (no braces, no trailing comma). The SHA is the
@@ -74,13 +66,6 @@ std::string provenanceJson();
 expt::TraceStore
 materializeAll(std::vector<expt::TraceSpec> specs,
                std::size_t jobs = 1);
-
-/** As above, also reporting the wall-clock milliseconds spent
- *  materializing in @p out_ms, so benches can report trace
- *  preparation and simulation as separate JSON fields. */
-expt::TraceStore
-materializeAll(std::vector<expt::TraceSpec> specs, std::size_t jobs,
-               double &out_ms);
 
 /**
  * Process-lifetime maximum resident set size in KB, or -1 where the

@@ -19,6 +19,7 @@
 #include "bench_common.hh"
 #include "onepass/engine.hh"
 #include "onepass/model_timing.hh"
+#include "util/logging.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
 #include "util/units.hh"
@@ -62,6 +63,14 @@ main(int argc, char **argv)
 {
     const std::size_t jobs = bench::jobsFromArgs(argc, argv);
     const bench::Engine engine = bench::engineFromArgs(argc, argv);
+    // Only these two engines have a branch below; refuse the rest
+    // by name rather than quietly running the timing simulator.
+    if (engine != bench::Engine::Timing &&
+        engine != bench::Engine::OnePass)
+        mlc_fatal("table_optimal_l1: the ",
+                  mlc::engine::kindName(engine),
+                  " engine is not supported (expected 'timing' or "
+                  "'onepass')");
     const hier::HierarchyParams base =
         hier::HierarchyParams::baseMachine();
     bench::printHeader(

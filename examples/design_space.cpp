@@ -30,7 +30,7 @@
  * cells share one warming pass per window, bit-identical to
  * warming each cell separately. On this deliberately small
  * interactive trace it exists to demonstrate the plumbing; the
- * speedup case is long traces (see bench/checkpoint_sweep).
+ * speedup case is long traces (see bench/checkpoint_persist).
  *
  * --engine=mrc is the one-pass pipeline over a spatially-sampled
  * subset of each cache's sets (DESIGN.md §5i): same table shape,

@@ -17,7 +17,7 @@
  *      $ ./mlc_client --socket=/tmp/mlc.sock metrics
  *
  *  - load mode (--load): the seeded Zipf load generator the
- *    serve_throughput bench uses, printing a one-line JSON summary:
+ *    server tests replay, printing a one-line JSON summary:
  *      $ ./mlc_client --socket=/tmp/mlc.sock --load --clients=4 \
  *            --requests=200
  */

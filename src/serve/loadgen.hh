@@ -7,8 +7,8 @@
  * mimicking the access pattern a design-space exploration front-end
  * produces: a few popular configurations asked about over and over
  * (memo hits after the first ask), a long tail of one-off what-ifs
- * (engine work). Both the mlc_client example and the
- * serve_throughput bench sit on top of this.
+ * (engine work). The mlc_client example, the server tests and
+ * perfbench's serve_mix workload sit on top of this.
  *
  * Two driving modes:
  *  - closed loop: each client sends one request, waits for its
@@ -76,15 +76,15 @@ struct LoadGenStats
     double maxUs = 0.0;
     /** @} */
     /** Every individual latency sample, unsorted (callers compute
-     *  their own aggregates; the bench wants cold-vs-hot splits). */
+     *  their own aggregates, e.g. cold-vs-hot splits). */
     std::vector<double> latenciesUs;
 };
 
 /**
  * The deterministic request stream client @p client would send:
  * @p n query lines drawn Zipf(@p theta)-skewed from the paper's
- * (size x cycle) design points. Exposed separately so tests and
- * the bench can replay the identical stream serially.
+ * (size x cycle) design points. Exposed separately so tests can
+ * replay the identical stream serially.
  */
 std::vector<std::string>
 queryStream(const LoadGenOptions &opts, std::size_t client,
@@ -125,7 +125,8 @@ class LineClient
 /** Drop the "cached" and "compute_us" fields from a response line —
  *  the only legitimately volatile parts. What remains must be
  *  byte-identical between a cold computation, a memo replay, and
- *  any serial/concurrent schedule (the bench gates on this). */
+ *  any serial/concurrent schedule (the server tests gate on
+ *  this). */
 std::string stripVolatile(const std::string &response);
 
 } // namespace serve

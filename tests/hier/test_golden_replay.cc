@@ -173,6 +173,16 @@ TEST(GoldenReplay, BaseMachineWriteBack)
                             workload(120000));
 }
 
+TEST(GoldenReplay, BaseMachineSixProcessLongStream)
+{
+    // The replay throughput workload (six processes, 12000-ref
+    // quanta) at millions of references: long enough for every
+    // write buffer and victim path to cycle many times.
+    auto gen = trace::makeMultiprogrammedWorkload(6, 12000, 0);
+    expectAllModesIdentical(HierarchyParams::baseMachine(),
+                            trace::collect(*gen, 2'500'000));
+}
+
 TEST(GoldenReplay, WriteThroughL1)
 {
     HierarchyParams p = HierarchyParams::baseMachine();

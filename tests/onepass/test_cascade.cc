@@ -197,6 +197,53 @@ TEST(CascadeEngine, ShardCountsBitIdentical)
     }
 }
 
+TEST(CascadeEngine, MixedAssocPivotsCrossCheckAndShardExactly)
+{
+    // A direct-mapped and a 2-way pivot over two 2-way members:
+    // every (trace, pivot, member) triple against the simulator,
+    // then the whole suite's profiles at 2, 7 and 8 shards against
+    // the scalar pass, pivot chains included.
+    std::vector<expt::TraceSpec> suite = tinySuite();
+    for (auto &spec : suite)
+        spec.measureRefs = 60000;
+    const expt::TraceStore store =
+        expt::TraceStore::materialize(suite);
+    const hier::HierarchyParams base = threeLevelBase();
+    CascadeFamilySpec family;
+    family.pivots.push_back({32 << 10, 1, 32});
+    family.pivots.push_back({64 << 10, 2, 32});
+    family.l3.configs.push_back({512 << 10, 2, 32});
+    family.l3.configs.push_back({1 << 20, 2, 32});
+
+    const CrossCheckReport report =
+        crossCheckCascade(base, family, store, 4, /*solo=*/true);
+    ASSERT_EQ(report.rows.size(), store.size() * 2 * 2);
+    EXPECT_TRUE(report.allMatch())
+        << report.mismatchCount() << " mismatched rows";
+
+    ProfileOptions scalar_opts;
+    scalar_opts.solo = true;
+    scalar_opts.faBound = true;
+    const auto scalar =
+        profileCascadeSuite(base, family, store, 4, scalar_opts);
+    for (const std::size_t s : {2u, 7u, 8u}) {
+        ProfileOptions opts = scalar_opts;
+        opts.shards = s;
+        const auto sharded =
+            profileCascadeSuite(base, family, store, 4, opts);
+        ASSERT_EQ(scalar.size(), sharded.size());
+        for (std::size_t p = 0; p < scalar.size(); ++p)
+            for (std::size_t t = 0; t < scalar[p].size(); ++t) {
+                EXPECT_TRUE(sameProfile(scalar[p][t], sharded[p][t]))
+                    << "pivot " << p << " trace " << t << " shards "
+                    << s;
+                EXPECT_EQ(scalar[p][t].ifetches,
+                          sharded[p][t].ifetches);
+                EXPECT_EQ(scalar[p][t].loads, sharded[p][t].loads);
+            }
+    }
+}
+
 TEST(CascadeEngine, SuiteBitIdenticalAcrossJobCounts)
 {
     const expt::TraceStore store =

@@ -2,7 +2,8 @@
  *  profile: the sharded sweep must be bit-identical to the scalar
  *  ghost forest for every shard count — including counts that do
  *  not divide the set count and the degenerate one-set cache —
- *  across the ghost-modellable golden machine variations. */
+ *  across the ghost-modellable golden machine variations and on
+ *  every cell of the Figure 4-1 grid. */
 
 #include <cstdint>
 #include <vector>
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "onepass/engine.hh"
+#include "onepass/grid.hh"
 #include "onepass/sharded.hh"
 #include "trace/interleave.hh"
 #include "trace/source.hh"
@@ -179,6 +181,44 @@ TEST(ShardedProfile, GoldenMachineVariantsBitExact)
             machine, {16 << 10, 64 << 10, 256 << 10});
         expectShardedMatchesScalar(machine, family, refs, 15000,
                                    {3, 8});
+    }
+}
+
+TEST(ShardedProfile, GoldenMachineVariantsWithFaBoundAtTwoAndEightShards)
+{
+    // Two shards (the smallest split) and the FA bound on top of
+    // the solo counters, over a larger family and trace.
+    const auto refs = workload(120000);
+    for (const auto &[name, machine] : goldenMachines()) {
+        SCOPED_TRACE(name);
+        const FamilySpec family = FamilySpec::l2Grid(
+            machine, {16 << 10, 64 << 10, 256 << 10, 1024 << 10});
+        expectShardedMatchesScalar(machine, family, refs, 30000,
+                                   {2, 8}, /*solo=*/true,
+                                   /*fa_bound=*/true);
+    }
+}
+
+TEST(ShardedProfile, Figure41GridMatchesScalarCellForCell)
+{
+    // The Figure 4-1 grid over the grid suite (MLC_QUICK scales
+    // it): sharding must not move a single cell.
+    const expt::TraceStore store =
+        expt::TraceStore::materialize(expt::gridSuite(), 4);
+    const hier::HierarchyParams base =
+        hier::HierarchyParams::baseMachine();
+    const auto sizes = expt::paperSizes();
+    const auto cycles = expt::paperCycles();
+    const expt::DesignSpaceGrid scalar =
+        buildGrid(base, sizes, cycles, store, 4, 1);
+    for (const std::size_t shards : {2u, 8u}) {
+        const expt::DesignSpaceGrid sharded =
+            buildGrid(base, sizes, cycles, store, 4, shards);
+        for (std::size_t s = 0; s < sizes.size(); ++s)
+            for (std::size_t c = 0; c < cycles.size(); ++c)
+                EXPECT_EQ(scalar.at(s, c), sharded.at(s, c))
+                    << "shards=" << shards << " cell (" << s << ","
+                    << c << ")";
     }
 }
 

@@ -636,6 +636,75 @@ TEST(Server, ConcurrentClientsMatchSerialReplay)
     server.stop();
 }
 
+TEST(Server, LoadStreamsSurviveRepeatedChurn)
+{
+    // Four Zipf streams of 100 queries, concurrent then serial;
+    // then three clients each vanish with eight replies unread, and
+    // a fresh connection must still get every answer, unchanged.
+    quickEnv();
+    ServerOptions opts;
+    opts.socketPath = testSocketPath("churn");
+    Server server(opts);
+    server.start();
+
+    LoadGenOptions lopts;
+    lopts.clients = 4;
+    std::vector<std::vector<std::string>> streams;
+    for (std::size_t c = 0; c < lopts.clients; ++c)
+        streams.push_back(queryStream(lopts, c, 100));
+    const auto replay =
+        [&](const std::vector<std::string> &lines,
+            std::map<std::string, std::string> &out) {
+            LineClient client(opts.socketPath);
+            std::string resp;
+            for (const std::string &line : lines) {
+                ASSERT_TRUE(client.sendLine(line));
+                ASSERT_TRUE(client.recvLine(resp));
+                EXPECT_NE(resp.find("\"ok\":true"), std::string::npos)
+                    << resp;
+                const Json doc = parseResponse(resp);
+                ASSERT_NE(doc.find("id"), nullptr) << resp;
+                out[doc.find("id")->asString()] = stripVolatile(resp);
+            }
+        };
+
+    std::map<std::string, std::string> concurrent, serial;
+    {
+        std::mutex mu;
+        std::vector<std::thread> threads;
+        for (std::size_t c = 0; c < lopts.clients; ++c)
+            threads.emplace_back([&, c] {
+                std::map<std::string, std::string> mine;
+                replay(streams[c], mine);
+                std::lock_guard<std::mutex> lk(mu);
+                concurrent.insert(mine.begin(), mine.end());
+            });
+        for (std::thread &t : threads)
+            t.join();
+    }
+    for (const auto &stream : streams)
+        replay(stream, serial);
+    ASSERT_EQ(serial.size(), 400u);
+    EXPECT_EQ(concurrent, serial);
+
+    for (int round = 0; round < 3; ++round) {
+        LineClient doomed(opts.socketPath);
+        for (std::size_t i = 0; i < 8; ++i)
+            ASSERT_TRUE(doomed.sendLine(streams[0][i]));
+    }
+    std::map<std::string, std::string> again;
+    replay(streams[0], again);
+    for (const auto &[id, body] : again)
+        EXPECT_EQ(body, serial.at(id)) << id;
+
+    LineClient client(opts.socketPath);
+    std::string resp;
+    ASSERT_TRUE(client.sendLine("{\"op\":\"shutdown\"}"));
+    ASSERT_TRUE(client.recvLine(resp));
+    EXPECT_NE(resp.find("\"draining\":true"), std::string::npos);
+    server.join();
+}
+
 TEST(Server, SocketSurvivesADeeplyNestedLine)
 {
     ServerOptions opts;
